@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import qp_reference, random_instance
 
-from cdfsvm.core import Dataset, GKernelSpec, KernelSpec, Scaler, normalize
+from cdfsvm.core import Dataset, GKernelSpec, KernelSpec, Scaler, normalize, subset
+from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d
 from cdfsvm.distribution import MeasureSpec, VMatrix, VWeights, v_matrix
 from cdfsvm.kernels import gram
+from cdfsvm.modelsel import WeightConfig, kfold_split
 from cdfsvm.solvers import (DualModel, SingularSystemError, SolverConfig,
                             _solve_pairwise, dual_objective, fit_csvm,
                             fit_eps_l1_svm, fit_eps_l1_vsvm, fit_idlssvm,
@@ -187,6 +192,102 @@ def test_monotone_ascent():
     assert res.converged
     gains = np.asarray(res.trace)
     assert np.all(gains > 0.0)  # every pair update strictly increases the dual
+
+
+# ---------------------------------------------------------------------------
+# engine invariants on degenerate instances
+
+DEGENERATE = ("duplicate_rows", "rank1_linear", "eps_zero", "two_member_class",
+              "equal_weights", "csvm_boxes")
+
+
+@st.composite
+def engine_instances(draw, family):
+    """(K, target, eps, lo, hi) for one degenerate family of the engine's QP."""
+    m = draw(st.integers(4, 10))
+    d = 1 if family == "rank1_linear" else draw(st.integers(1, 3))
+    X = draw(arrays(float, (m, d), elements=st.floats(0.0, 1.0)))
+    if family == "duplicate_rows":  # eta_ij = 0 for every repeated pair
+        k = draw(st.integers(1, m // 2))
+        X[m - k:] = X[:k]
+    if family == "two_member_class":
+        labels = np.zeros(m)
+        labels[draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
+                             unique=True))] = 1.0
+    else:
+        labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                        min_size=m, max_size=m)))
+        labels[:2] = [0.0, 1.0]
+    spec = (KernelSpec.linear() if family == "rank1_linear"
+            else KernelSpec.rbf(draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))))
+    K = gram(spec, X).values
+    gamma = draw(st.sampled_from([2.0**k for k in range(-3, 5)]))
+    if family == "csvm_boxes":
+        z = 2.0 * labels - 1.0
+        return (K, z, np.zeros(m), np.where(z < 0.0, -gamma, 0.0),
+                np.where(z > 0.0, gamma, 0.0))
+    if family == "equal_weights":
+        v = np.ones(m)
+    else:
+        v = draw(arrays(float, m, elements=st.floats(0.15, 1.0)))
+    eps = 0.0 if family == "eps_zero" else draw(st.sampled_from([0.0625, 0.125, 0.25]))
+    return K, labels, np.full(m, eps), -gamma * v, gamma * v
+
+
+def kkt_gaps(res, K, target, eps, lo, hi):
+    """Largest violation of the KKT sign conditions at the returned bias.
+
+    With residual rho = target - K beta - bias, a coefficient that can still
+    grow needs rho - eps_sign <= 0 and one that can still shrink needs
+    eps_sign - rho <= 0 (eps_sign is the |beta| subgradient); together they
+    are complementary slackness: zero coefficients inside the tube, free
+    ones on its edge, bound ones outside. Coefficients within 1e-9 of a
+    bound count as at the bound.
+    """
+    beta = res.beta
+    rho = target - K @ beta - res.bias
+    edge = 1e-9 * np.maximum(hi - lo, 1.0)
+    up = np.where(beta >= 0.0, rho - eps, rho + eps)[beta < hi - edge]
+    dn = np.where(beta > 0.0, eps - rho, -eps - rho)[beta > lo + edge]
+    return max(up.max(initial=-np.inf), dn.max(initial=-np.inf))
+
+
+@pytest.mark.parametrize("family", DEGENERATE)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_engine_invariants_on_degenerate_instances(family, data):
+    K, target, eps, lo, hi = data.draw(engine_instances(family))
+    res = _solve_pairwise(K, target, eps, lo, hi)
+    beta = res.beta
+    assert np.all(beta >= lo - 1e-9) and np.all(beta <= hi + 1e-9)
+    assert abs(float(beta.sum())) < 1e-8 * max(1.0, float(np.abs(beta).max()))
+    if res.converged:
+        assert res.violation < 1e-4
+        assert kkt_gaps(res, K, target, eps, lo, hi) < 1e-4 + 1e-7
+
+
+@pytest.mark.parametrize("family", DEGENERATE)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_engine_matches_oracle_on_degenerate_instances(family, data):
+    K, target, eps, lo, hi = data.draw(engine_instances(family))
+    res = _solve_pairwise(K, target, eps, lo, hi, **TIGHT)
+    ours = dual_objective(res.beta, target, eps[0], K)
+    ref, _, _ = qp_reference(K, target, eps[0], hi, caps_neg=-lo)
+    assert ours == pytest.approx(ref, abs=1e-6)
+
+
+def test_default_tolerance_converges_on_large_gamma_tube_cell():
+    # a 5-fold CV cell at gamma=256, eps=2^-4, rbf delta=0.25 on gauss2d
+    # n=200: maximal-violating-pair selection stopped here at max_iter
+    data = gen_gaussian_2d(GaussianSpec2D(n=200, seed=10007))
+    train_idx, _ = kfold_split(200, 5, 10007, labels=data.labels)[0]
+    train = subset(data, train_idx)
+    K = gram(KernelSpec.rbf(0.25), train.features)
+    weights = WeightConfig().weights_for(train.features, data.features, 0.5)
+    model = fit_eps_l1_vsvm(train, K, weights,
+                            SolverConfig(gamma=256.0, epsilon=2.0**-4))
+    assert model.converged
 
 
 def test_weight_monotonicity():
