@@ -3,7 +3,7 @@
 Builds a small bimodal sample and prints its per-sample weights under
 three (kernel, measure) pairings:
 
-  * step kernel against a fitted gaussian measure  -> cumulative position
+  * step kernel against a fitted gaussian measure  -> mass at or above x
   * gaussian kernel against the uniform unit box   -> centrality
   * gaussian kernel against the empirical measure  -> local density
 
@@ -36,7 +36,7 @@ for i in order:
     print(f"{x[i]:>8.4f}  {row}")
 
 print()
-print("step/gaussian weights rise monotonically with x (a cumulative view);")
+print("step/gaussian weights fall monotonically with x (mass at or above x);")
 print("box weights peak at the center; empirical weights track the two modes.")
 
 weights_to_csv(variants["gauss G, empirical"], "demo-weights.csv")

@@ -8,8 +8,8 @@ variant, and define the Vac evaluation indicator. Classical baselines
 evaluation plumbing.
 """
 
-from .core import (Dataset, GKernelSpec, KernelSpec, LabelConvention, Scaler,
-                   decide, normalize, subset, to_internal_labels)
+from .core import (Dataset, GKernelSpec, KernelSpec, Scaler, decide, normalize,
+                   subset, to_internal_labels)
 from .datagen import (GaussianSpec2D, Robustness1DSpec, bayes_boundary_2d,
                       bayes_posterior, gen_gaussian_2d, gen_robustness_1d,
                       load_csv, save_csv)

@@ -14,12 +14,11 @@ round, one row per dataset and method.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, decide, subset
+from .core import Dataset, decide, format_table, subset, write_csv
 from .datagen import GaussianSpec2D, bayes_boundary_2d, gen_gaussian_2d
 from .evaluation import (accuracy, boundary_from_linear, dist_to_bayes, gmean)
 from .modelsel import (GridSpec, WeightConfig, cv_table, fit_full, kfold_split,
@@ -119,8 +118,7 @@ def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
 
 
 def bayes_table_text(columns: dict, k0: float = 2.0, q0: float = 0.0) -> str:
-    header = ("method", "indicator", "runs", "Dist", "k_mean±std", "q_mean±std")
-    lines = [header]
+    lines = []
     for (method, ind) in sorted(columns):
         s = columns[(method, ind)].summary(k0, q0)
         if s["aborted"]:
@@ -129,24 +127,18 @@ def bayes_table_text(columns: dict, k0: float = 2.0, q0: float = 0.0) -> str:
             lines.append((method, ind, str(s["runs"]), f"{s['dist']:.4f}",
                           f"{s['k_mean']:.2f}±{s['k_std']:.2f}",
                           f"{s['q_mean']:.3f}±{s['q_std']:.3f}"))
-    widths = [max(len(row[c]) for row in lines) for c in range(len(header))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                     for row in lines)
+    return format_table(("method", "indicator", "runs", "Dist", "k_mean±std",
+                         "q_mean±std"), lines)
 
 
 def write_bayes_csv(columns: dict, path, header_comment: str = "",
                     k0: float = 2.0, q0: float = 0.0) -> None:
     """Summary plus the per-repetition (k, q) pairs, for audit."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["method", "indicator", "repetition", "k", "q"])
-        for (method, ind) in sorted(columns):
-            col = columns[(method, ind)]
-            for rep, (k, q) in enumerate(zip(col.ks, col.qs)):
-                writer.writerow([method, ind, rep, repr(k), repr(q)])
+    write_csv(path, ["method", "indicator", "repetition", "k", "q"],
+              ([method, ind, rep, repr(k), repr(q)]
+               for (method, ind), col in sorted(columns.items())
+               for rep, (k, q) in enumerate(zip(col.ks, col.qs))),
+              header_comment)
 
 
 @dataclass
@@ -202,8 +194,7 @@ def run_uci_benchmark(datasets, methods, grid: GridSpec,
 
 
 def uci_table_text(rows: list[DatasetRow]) -> str:
-    header = ("dataset", "method", "G-mean(Acc)%")
-    lines = [header]
+    lines = []
     for row in rows:
         if row.status != "ok":
             lines.append((row.dataset, row.method, row.status))
@@ -211,23 +202,16 @@ def uci_table_text(rows: list[DatasetRow]) -> str:
             lines.append((row.dataset, row.method,
                           f"{100*row.gmean_mean:.2f}±{100*row.gmean_std:.2f}"
                           f"({100*row.acc_mean:.2f})"))
-    widths = [max(len(r[c]) for r in lines) for c in range(len(header))]
-    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                     for row in lines)
+    return format_table(("dataset", "method", "G-mean(Acc)%"), lines)
 
 
 def write_uci_csv(rows: list[DatasetRow], path, header_comment: str = "") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "method", "status", "gmean_mean", "gmean_std",
-                         "acc_mean", "acc_std", "best"])
-        for row in rows:
-            writer.writerow([row.dataset, row.method, row.status,
-                             row.gmean_mean, row.gmean_std,
-                             row.acc_mean, row.acc_std, row.best])
+    write_csv(path, ["dataset", "method", "status", "gmean_mean", "gmean_std",
+                     "acc_mean", "acc_std", "best"],
+              ([row.dataset, row.method, row.status, row.gmean_mean,
+                row.gmean_std, row.acc_mean, row.acc_std, row.best]
+               for row in rows),
+              header_comment)
 
 
 def total_variation(scores) -> float:

@@ -1,10 +1,11 @@
 """Command-line surface: synth | fit | predict | cv | bench-bayes | bench-uci.
 
-Every flag has a matching key in an optional flat key=value config file
-(--config); explicit flags override file values. Commands are deterministic
-given their full flag set including the seed. Results go to stdout and the
-output files; diagnostics go to stderr; the exit code is 0 only when all
-requested work completed.
+Each option is declared once, in ``_OPTIONS``, and each subcommand lists
+the options it takes in ``_SUBCOMMANDS``. Every flag has a matching key in
+an optional flat key=value config file (--config); explicit flags override
+file values. Commands are deterministic given their full flag set
+including the seed. Results go to stdout and the output files; diagnostics
+go to stderr; the exit code is 0 only when all requested work completed.
 """
 
 from __future__ import annotations
@@ -27,30 +28,21 @@ from .modelsel import (GridSpec, METHODS, WeightConfig, fit_full, grid_search,
                        kfold_split, rows_to_csv)
 from .solvers import SolverError, load_model, predict, save_model
 
-_INDICATORS = ("acc", "vac", "both")
-_MU_CHOICES = ("empirical", "uniform", "gaussian", "point-mass")
+def _staged(path: str, content) -> None:
+    """Write ``path`` through a temp file beside it, then rename into place.
 
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _staged(path: str, writer) -> None:
-    """Run a file writer against a temp path, then rename into place."""
+    ``content`` is the text to write, or a function that writes a file at
+    the temp path it is given. If it raises, ``path`` is left untouched.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     os.close(fd)
     try:
-        writer(tmp)
+        if isinstance(content, str):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        else:
+            content(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -65,15 +57,8 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
+def _converter(default):
+    return _float_list if isinstance(default, tuple) else type(default)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -90,16 +75,14 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _merge(defaults: dict, converters: dict, ns: argparse.Namespace) -> argparse.Namespace:
+def _merge(defaults: dict, explicit: dict) -> argparse.Namespace:
     merged = dict(defaults)
-    explicit = vars(ns)
     config_path = explicit.pop("config", None)
     if config_path:
         for key, raw in _load_config(config_path).items():
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
-            conv = converters.get(key, str)
-            merged[key] = conv(raw)
+            merged[key] = _converter(defaults[key])(raw)
     merged.update(explicit)
     return argparse.Namespace(**merged)
 
@@ -124,10 +107,6 @@ def _provenance(ns, keys) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_SYNTH_DEFAULTS = dict(kind="gauss2d", n=200, seed=0, out="dataset.csv")
-_SYNTH_CONVERTERS = dict(kind=str, n=int, seed=int, out=str)
-
-
 def _cmd_synth(ns) -> int:
     if ns.kind == "gauss2d":
         spec = GaussianSpec2D(n=ns.n, seed=ns.seed)
@@ -149,18 +128,6 @@ def _cmd_synth(ns) -> int:
     print(f"wrote {ns.out} ({raw.shape[0]} rows, {raw.shape[1]} features)")
     print(info)
     return 0
-
-
-_FIT_DEFAULTS = dict(dataset="", method="eps-l1vsvm", kernel="rbf", gamma=1.0,
-                     delta=1.0, epsilon=0.25, sigma=1.0, g_kernel="gaussian",
-                     mu="empirical", combine="product", sigma_eval=1.0,
-                     test_file="", train_frac=0.8, seed=0, out_dir=".",
-                     label_column=-1, positive_label="")
-_FIT_CONVERTERS = dict(dataset=str, method=str, kernel=str, gamma=float,
-                       delta=float, epsilon=float, sigma=float, g_kernel=str,
-                       mu=str, combine=str, sigma_eval=float, test_file=str,
-                       train_frac=float, seed=int, out_dir=str,
-                       label_column=int, positive_label=str)
 
 
 def _split_train_test(data, ns):
@@ -218,12 +185,6 @@ def _cmd_fit(ns) -> int:
     return 0
 
 
-_PREDICT_DEFAULTS = dict(model="", dataset="", out="predictions.csv",
-                         label_column=-1, positive_label="")
-_PREDICT_CONVERTERS = dict(model=str, dataset=str, out=str, label_column=int,
-                           positive_label=str)
-
-
 def _cmd_predict(ns) -> int:
     model = load_model(ns.model)
     data = load_csv(ns.dataset, label_column=ns.label_column,
@@ -234,24 +195,9 @@ def _cmd_predict(ns) -> int:
     lines = ["index,score,label"]
     lines += [f"{i},{float(s)!r},{int(l)}"
               for i, (s, l) in enumerate(zip(scores, labels))]
-    _atomic_write(ns.out, "\n".join(lines) + "\n")
+    _staged(ns.out, "\n".join(lines) + "\n")
     print(f"wrote {ns.out} ({len(labels)} rows)")
     return 0
-
-
-_CV_DEFAULTS = dict(dataset="", method="eps-l1vsvm", kernel="rbf",
-                    indicator="acc", folds=10, seed=0,
-                    gammas=GridSpec().gammas, deltas=GridSpec().deltas,
-                    epsilons=GridSpec().epsilons, sigmas=GridSpec().sigmas,
-                    g_kernel="gaussian", mu="empirical", combine="product",
-                    sigma_eval=1.0, out_dir=".", label_column=-1,
-                    positive_label="")
-_CV_CONVERTERS = dict(dataset=str, method=str, kernel=str, indicator=str,
-                      folds=int, seed=int, gammas=_float_list,
-                      deltas=_float_list, epsilons=_float_list,
-                      sigmas=_float_list, g_kernel=str, mu=str, combine=str,
-                      sigma_eval=float, out_dir=str, label_column=int,
-                      positive_label=str)
 
 
 def _cmd_cv(ns) -> int:
@@ -273,27 +219,12 @@ def _cmd_cv(ns) -> int:
     best_lines += [f"{key}={value}" for key, value in sorted(result.best.items())
                    if value is not None]
     best_lines.append(f"cv_{result.indicator}={result.score!r}")
-    _atomic_write(best_path, "\n".join(best_lines) + "\n")
+    _staged(best_path, "\n".join(best_lines) + "\n")
     shown = {k: v for k, v in result.best.items() if v is not None}
     print(f"best {shown} with CV {result.indicator} = {result.score:.4f}")
     print(f"table: {table_path}")
     print(f"best config: {best_path}")
     return 0
-
-
-_BENCH_BAYES_DEFAULTS = dict(n=200, repetitions=100, methods="eps-l1vsvm,lssvm",
-                             indicator="acc", seed=0, folds=10,
-                             gammas=GridSpec().gammas, deltas=(1.0,),
-                             epsilons=GridSpec().epsilons,
-                             sigmas=GridSpec().sigmas, g_kernel="gaussian",
-                             mu="uniform", combine="product", sigma_eval=1.0,
-                             out_dir=".")
-_BENCH_BAYES_CONVERTERS = dict(n=int, repetitions=int, methods=str,
-                               indicator=str, seed=int, folds=int,
-                               gammas=_float_list, deltas=_float_list,
-                               epsilons=_float_list, sigmas=_float_list,
-                               g_kernel=str, mu=str, combine=str,
-                               sigma_eval=float, out_dir=str)
 
 
 def _cmd_bench_bayes(ns) -> int:
@@ -314,8 +245,8 @@ def _cmd_bench_bayes(ns) -> int:
     reps_path = os.path.join(ns.out_dir, "bench-bayes-reps.csv")
     _staged(reps_path, lambda tmp: write_bayes_csv(columns, tmp, provenance))
     table = bayes_table_text(columns)
-    _atomic_write(os.path.join(ns.out_dir, "bench-bayes-table.txt"),
-                  f"# {provenance}\n{table}\n")
+    _staged(os.path.join(ns.out_dir, "bench-bayes-table.txt"),
+            f"# {provenance}\n{table}\n")
     print(table)
     print(f"per-repetition lines: {reps_path}")
     aborted = [key for key, col in columns.items() if col.aborted]
@@ -323,22 +254,6 @@ def _cmd_bench_bayes(ns) -> int:
         print(f"warning: column {key} aborted after repeated failures",
               file=sys.stderr)
     return 1 if aborted else 0
-
-
-_BENCH_UCI_DEFAULTS = dict(datasets="", methods="eps-l1svm,eps-l1vsvm",
-                           kernel="rbf", indicator="acc", folds=10, seed=0,
-                           gammas=GridSpec().gammas, deltas=GridSpec().deltas,
-                           epsilons=GridSpec().epsilons,
-                           sigmas=GridSpec().sigmas, g_kernel="gaussian",
-                           mu="empirical", combine="product", sigma_eval=1.0,
-                           out_dir=".", label_column=-1, positive_label="")
-_BENCH_UCI_CONVERTERS = dict(datasets=str, methods=str, kernel=str,
-                             indicator=str, folds=int, seed=int,
-                             gammas=_float_list, deltas=_float_list,
-                             epsilons=_float_list, sigmas=_float_list,
-                             g_kernel=str, mu=str, combine=str,
-                             sigma_eval=float, out_dir=str, label_column=int,
-                             positive_label=str)
 
 
 def _cmd_bench_uci(ns) -> int:
@@ -368,8 +283,8 @@ def _cmd_bench_uci(ns) -> int:
     csv_path = os.path.join(ns.out_dir, "bench-uci.csv")
     _staged(csv_path, lambda tmp: write_uci_csv(rows, tmp, provenance))
     table = uci_table_text(rows)
-    _atomic_write(os.path.join(ns.out_dir, "bench-uci-table.txt"),
-                  f"# {provenance}\n{table}\n")
+    _staged(os.path.join(ns.out_dir, "bench-uci-table.txt"),
+            f"# {provenance}\n{table}\n")
     print(table)
     print(f"csv: {csv_path}")
     return 1 if any(row.status != "ok" for row in rows) else 0
@@ -378,19 +293,50 @@ def _cmd_bench_uci(ns) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+_GRID = GridSpec()
+
+# Every option's default, declared once. The default's type converts flag
+# and config-file text; a tuple default takes a comma-separated float list.
+_OPTIONS = dict(
+    kind="gauss2d", n=200, repetitions=100, seed=0, out="dataset.csv",
+    dataset="", datasets="", model="", test_file="", train_frac=0.8,
+    out_dir=".", label_column=-1, positive_label="",
+    method="eps-l1vsvm", methods="eps-l1svm,eps-l1vsvm", kernel="rbf",
+    gamma=1.0, delta=1.0, epsilon=0.25, sigma=1.0, indicator="acc",
+    folds=10, gammas=_GRID.gammas, deltas=_GRID.deltas,
+    epsilons=_GRID.epsilons, sigmas=_GRID.sigmas, g_kernel="gaussian",
+    mu="empirical", combine="product", sigma_eval=1.0)
+
+# name: (handler, the options it takes in flag order, per-command defaults)
 _SUBCOMMANDS = {
-    "synth": (_cmd_synth, _SYNTH_DEFAULTS, _SYNTH_CONVERTERS),
-    "fit": (_cmd_fit, _FIT_DEFAULTS, _FIT_CONVERTERS),
-    "predict": (_cmd_predict, _PREDICT_DEFAULTS, _PREDICT_CONVERTERS),
-    "cv": (_cmd_cv, _CV_DEFAULTS, _CV_CONVERTERS),
-    "bench-bayes": (_cmd_bench_bayes, _BENCH_BAYES_DEFAULTS, _BENCH_BAYES_CONVERTERS),
-    "bench-uci": (_cmd_bench_uci, _BENCH_UCI_DEFAULTS, _BENCH_UCI_CONVERTERS),
+    "synth": (_cmd_synth, "kind n seed out", {}),
+    "fit": (_cmd_fit, "dataset method kernel gamma delta epsilon sigma g_kernel "
+            "mu combine sigma_eval test_file train_frac seed out_dir "
+            "label_column positive_label", {}),
+    "predict": (_cmd_predict, "model dataset out label_column positive_label",
+                dict(out="predictions.csv")),
+    "cv": (_cmd_cv, "dataset method kernel indicator folds seed gammas deltas "
+           "epsilons sigmas g_kernel mu combine sigma_eval out_dir label_column "
+           "positive_label", {}),
+    "bench-bayes": (_cmd_bench_bayes, "n repetitions methods indicator seed "
+                    "folds gammas deltas epsilons sigmas g_kernel mu combine "
+                    "sigma_eval out_dir",
+                    dict(methods="eps-l1vsvm,lssvm", deltas=(1.0,), mu="uniform")),
+    "bench-uci": (_cmd_bench_uci, "datasets methods kernel indicator folds seed "
+                  "gammas deltas epsilons sigmas g_kernel mu combine sigma_eval "
+                  "out_dir label_column positive_label", {}),
 }
 
 _CHOICES = dict(method=METHODS, kernel=("linear", "rbf"),
-                g_kernel=("gaussian", "step"), mu=_MU_CHOICES,
-                combine=("product", "additive"), indicator=_INDICATORS,
-                kind=("gauss2d", "robust1d"))
+                g_kernel=("gaussian", "step"),
+                mu=("empirical", "uniform", "gaussian", "point-mass"),
+                combine=("product", "additive"),
+                indicator=("acc", "vac", "both"), kind=("gauss2d", "robust1d"))
+
+
+def _defaults(command: str) -> dict:
+    _, names, overrides = _SUBCOMMANDS[command]
+    return {key: overrides.get(key, _OPTIONS[key]) for key in names.split()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -398,35 +344,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cdfsvm",
         description="distribution-weighted kernel classification toolkit")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (func, defaults, converters) in _SUBCOMMANDS.items():
+    for name in _SUBCOMMANDS:
         sub = subparsers.add_parser(name)
-        sub.set_defaults(func=func, defaults=defaults, converters=converters)
         sub.add_argument("--config", default=argparse.SUPPRESS,
                          help="flat key=value config file; flags override it")
-        for key, default in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            kwargs: dict = {"default": argparse.SUPPRESS}
-            conv = converters[key]
-            if key == "indicator" and name == "cv":
-                kwargs["choices"] = ("acc", "vac")
-            elif key in _CHOICES and conv is str:
-                kwargs["choices"] = _CHOICES[key]
-            kwargs["type"] = conv
-            kwargs["help"] = f"default: {default}"
-            sub.add_argument(flag, **kwargs)
+        for key, default in _defaults(name).items():
+            choices = (("acc", "vac") if key == "indicator" and name == "cv"
+                       else _CHOICES.get(key))
+            sub.add_argument("--" + key.replace("_", "-"),
+                             default=argparse.SUPPRESS, choices=choices,
+                             type=_converter(default), help=f"default: {default}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    func = ns.func
-    defaults, converters = ns.defaults, ns.converters
-    cleaned = {k: v for k, v in vars(ns).items()
-               if k not in ("func", "defaults", "converters", "command")}
+    explicit = vars(_build_parser().parse_args(argv))
+    command = explicit.pop("command")
     try:
-        merged = _merge(defaults, converters, argparse.Namespace(**cleaned))
-        return func(merged)
+        merged = _merge(_defaults(command), explicit)
+        return _SUBCOMMANDS[command][0](merged)
     except (OSError, ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

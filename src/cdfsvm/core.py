@@ -2,11 +2,13 @@
 
 Every dataset carries {0, 1} labels and features min-max scaled to the unit
 hypercube; scores are thresholded at 0.5. External +/-1 labels are remapped
-on ingestion (-1 becomes 0).
+on ingestion (-1 becomes 0). Every CSV file and padded text table the
+package writes goes through ``write_csv`` and ``format_table``.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +18,13 @@ __all__ = [
     "Dataset",
     "GKernelSpec",
     "KernelSpec",
-    "LabelConvention",
     "Scaler",
     "decide",
+    "format_table",
     "normalize",
     "subset",
     "to_internal_labels",
+    "write_csv",
 ]
 
 THRESHOLD = 0.5
@@ -113,16 +116,6 @@ def decide(score, threshold: float = THRESHOLD):
         raise ValueError("non-finite score")
     labels = (arr > threshold).astype(np.int64)
     return labels if labels.ndim else int(labels)
-
-
-@dataclass(frozen=True)
-class LabelConvention:
-    """Internal label alphabet {0, 1} with a fixed decision threshold."""
-
-    threshold: float = THRESHOLD
-
-    def decide(self, score):
-        return decide(score, self.threshold)
 
 
 def to_internal_labels(values, positive_label=None) -> np.ndarray:
@@ -266,3 +259,21 @@ class GKernelSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "GKernelSpec":
         return cls(payload["kind"], payload.get("sigma", 1.0))
+
+
+def write_csv(path, header, rows, comment: str = "") -> None:
+    """Write one ``# `` line per comment line, then the header and data rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in comment.splitlines():
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def format_table(header, rows) -> str:
+    """Left-aligned text columns two spaces apart, trailing blanks stripped."""
+    lines = [header, *rows]
+    widths = [max(len(line[c]) for line in lines) for c in range(len(header))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+                     for line in lines)

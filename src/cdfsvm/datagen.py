@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import Dataset, Scaler, normalize, to_internal_labels
+from .core import Dataset, Scaler, normalize, to_internal_labels, write_csv
 from .evaluation import BoundaryLine
 
 __all__ = [
@@ -134,18 +134,15 @@ def bayes_posterior(x, mean_pos, mean_neg, var) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-def save_csv(path, features, labels, header: bool = True) -> None:
+def save_csv(path, features, labels) -> None:
     """Write raw features plus a final label column, float64-round-trip safe."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ValueError("features must be (m, d) with one label per row")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"feature_{k}" for k in range(features.shape[1])] + ["label"])
-        for row, lab in zip(features, labels):
-            writer.writerow([f"{x:.17g}" for x in row] + [str(lab)])
+    write_csv(path, [f"feature_{k}" for k in range(features.shape[1])] + ["label"],
+              ([f"{x:.17g}" for x in row] + [str(lab)]
+               for row, lab in zip(features, labels)))
 
 
 def _is_float(token: str) -> bool:

@@ -18,13 +18,12 @@ only relative weights matter downstream.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, ndtr
 
-from .core import GKernelSpec
+from .core import GKernelSpec, write_csv
 
 __all__ = [
     "MeasureSpec",
@@ -203,8 +202,8 @@ class VMatrix:
 # one-dimensional closed-form integrals (vectorized over samples x dimensions)
 
 def _step_vs_gaussian(x, mean, std):
-    # cumulative normal up to x, per dimension
-    return ndtr((x - mean) / std)
+    # normal mass at or above x, per dimension
+    return ndtr((mean - x) / std)
 
 
 def _step_vs_uniform(x, center, halfw):
@@ -243,15 +242,16 @@ def _per_dim_integrals(samples: np.ndarray, g: GKernelSpec, mu: MeasureSpec) -> 
 def v_gaussian_step(mu: MeasureSpec, x) -> float:
     """Weight of a point under the step kernel and a gaussian measure.
 
-    Product over dimensions of the normal CDF Phi((x_k - mean_k) / std_k),
-    evaluated through the error function.
+    Product over dimensions of the normal mass at or above x_k,
+    Phi((mean_k - x_k) / std_k), the same u >= x direction as the step
+    kernel itself.
     """
     if mu.kind != "gaussian":
         raise ValueError("v_gaussian_step needs a gaussian measure")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != mu.mean.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {mu.mean.shape}")
-    return float(np.prod(ndtr((x - mu.mean) / mu.std)))
+    return float(np.prod(ndtr((mu.mean - x) / mu.std)))
 
 
 def v_uniform_gaussian(mu: MeasureSpec, g: GKernelSpec, x, combine: str = "product") -> float:
@@ -396,8 +396,5 @@ def _mirror(vals: np.ndarray) -> np.ndarray:
 
 def weights_to_csv(weights: VWeights, path) -> None:
     """Write (index, v-value) rows for inspection."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "v_value"])
-        for i, value in enumerate(weights.values):
-            writer.writerow([i, repr(float(value))])
+    write_csv(path, ["index", "v_value"],
+              ([i, repr(float(value))] for i, value in enumerate(weights.values)))

@@ -10,12 +10,11 @@ can be compared against a known optimal boundary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import THRESHOLD
+from .core import THRESHOLD, format_table, write_csv
 
 __all__ = [
     "BoundaryLine",
@@ -123,27 +122,18 @@ def evaluate(y_true, y_pred, v_t=None, v_provenance: str | None = None) -> EvalR
 
 def format_report_table(reports: dict[str, EvalReport]) -> str:
     """Human-readable metric table, one row per model name."""
-    cols = ("model", "acc", "vac", "gmean", "sens", "spec", "tp", "fp", "tn", "fn")
-    rows = [cols]
-    for name, rep in reports.items():
-        rows.append((name, f"{rep.acc:.4f}", f"{rep.vac:.4f}", f"{rep.gmean:.4f}",
-                     f"{rep.sensitivity:.4f}", f"{rep.specificity:.4f}",
-                     str(rep.tp), str(rep.fp), str(rep.tn), str(rep.fn)))
-    widths = [max(len(row[c]) for row in rows) for c in range(len(cols))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    return "\n".join(lines)
+    return format_table(
+        ("model", "acc", "vac", "gmean", "sens", "spec", "tp", "fp", "tn", "fn"),
+        [(name, f"{rep.acc:.4f}", f"{rep.vac:.4f}", f"{rep.gmean:.4f}",
+          f"{rep.sensitivity:.4f}", f"{rep.specificity:.4f}",
+          str(rep.tp), str(rep.fp), str(rep.tn), str(rep.fn))
+         for name, rep in reports.items()])
 
 
 def reports_to_csv(reports: dict[str, EvalReport], path, header_comment: str = "") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(("model",) + EvalReport.CSV_HEADER)
-        for name, rep in reports.items():
-            writer.writerow([name] + rep.csv_row())
+    write_csv(path, ("model",) + EvalReport.CSV_HEADER,
+              ([name] + rep.csv_row() for name, rep in reports.items()),
+              header_comment)
 
 
 @dataclass(frozen=True)

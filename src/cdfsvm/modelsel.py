@@ -16,13 +16,12 @@ are recomputed per training fold against the full-sample reference set
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, GKernelSpec, KernelSpec, decide, subset
+from .core import Dataset, GKernelSpec, KernelSpec, decide, subset, write_csv
 from .distribution import MeasureSpec, VMatrix, VWeights, v_matrix, v_vector
 from .evaluation import accuracy, vac
 from .kernels import cross_gram, gram
@@ -309,14 +308,8 @@ def grid_search(data: Dataset, method: str, grid: GridSpec,
 def rows_to_csv(rows, path, header_comment: str = "") -> None:
     """One CSV row per grid cell per fold."""
     columns = ("gamma", "delta", "epsilon", "sigma", "fold", "acc", "vac", "valid")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(col, "") for col in columns])
+    write_csv(path, columns, ([row.get(col, "") for col in columns] for row in rows),
+              header_comment)
 
 
 def fit_full(data: Dataset, method: str, params: dict, kernel_kind: str = "rbf",

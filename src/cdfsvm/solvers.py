@@ -94,7 +94,6 @@ class SolverConfig:
     epsilon: float = 0.0
     tolerance: float = 1e-4
     max_iter: int = 100_000
-    seed: int = 0
     debug_checks: bool = False
 
     def __post_init__(self):

@@ -2,7 +2,9 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from cdfsvm import cli
 from cdfsvm.cli import main
 
 
@@ -252,3 +254,136 @@ def test_cli_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "Bayes boundary" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# option defaults, config files and staged writes
+
+GAMMAS = tuple(2.0**k for k in range(-8, 9))
+DELTAS = tuple(2.0**k for k in range(-4, 5))
+EPSILONS = (0.0625, 0.125, 0.25)
+SIGMAS = DELTAS
+
+EXPECTED_DEFAULTS = {
+    "synth": dict(kind="gauss2d", n=200, seed=0, out="dataset.csv"),
+    "fit": dict(dataset="", method="eps-l1vsvm", kernel="rbf", gamma=1.0,
+                delta=1.0, epsilon=0.25, sigma=1.0, g_kernel="gaussian",
+                mu="empirical", combine="product", sigma_eval=1.0,
+                test_file="", train_frac=0.8, seed=0, out_dir=".",
+                label_column=-1, positive_label=""),
+    "predict": dict(model="", dataset="", out="predictions.csv",
+                    label_column=-1, positive_label=""),
+    "cv": dict(dataset="", method="eps-l1vsvm", kernel="rbf", indicator="acc",
+               folds=10, seed=0, gammas=GAMMAS, deltas=DELTAS,
+               epsilons=EPSILONS, sigmas=SIGMAS, g_kernel="gaussian",
+               mu="empirical", combine="product", sigma_eval=1.0, out_dir=".",
+               label_column=-1, positive_label=""),
+    "bench-bayes": dict(n=200, repetitions=100, methods="eps-l1vsvm,lssvm",
+                        indicator="acc", seed=0, folds=10, gammas=GAMMAS,
+                        deltas=(1.0,), epsilons=EPSILONS, sigmas=SIGMAS,
+                        g_kernel="gaussian", mu="uniform", combine="product",
+                        sigma_eval=1.0, out_dir="."),
+    "bench-uci": dict(datasets="", methods="eps-l1svm,eps-l1vsvm",
+                      kernel="rbf", indicator="acc", folds=10, seed=0,
+                      gammas=GAMMAS, deltas=DELTAS, epsilons=EPSILONS,
+                      sigmas=SIGMAS, g_kernel="gaussian", mu="empirical",
+                      combine="product", sigma_eval=1.0, out_dir=".",
+                      label_column=-1, positive_label=""),
+}
+
+# key: (config-file text, parsed value); every value differs from every default
+CONFIG_VALUES = {
+    "kind": ("robust1d", "robust1d"),
+    "n": ("60", 60),
+    "seed": ("7", 7),
+    "out": ("o.csv", "o.csv"),
+    "dataset": ("d.csv", "d.csv"),
+    "model": ("m.json", "m.json"),
+    "datasets": ("a.csv,b.csv", "a.csv,b.csv"),
+    "method": ("lssvm", "lssvm"),
+    "methods": ("csvm,bayes", "csvm,bayes"),
+    "kernel": ("linear", "linear"),
+    "indicator": ("vac", "vac"),
+    "gamma": ("2", 2.0),
+    "delta": ("0.5", 0.5),
+    "epsilon": ("0.125", 0.125),
+    "sigma": ("3", 3.0),
+    "g_kernel": ("step", "step"),
+    "mu": ("point-mass", "point-mass"),
+    "combine": ("additive", "additive"),
+    "sigma_eval": ("0.25", 0.25),
+    "test_file": ("t.csv", "t.csv"),
+    "train_frac": ("0.5", 0.5),
+    "out_dir": ("runs", "runs"),
+    "label_column": ("0", 0),
+    "positive_label": ("yes", "yes"),
+    "folds": ("3", 3),
+    "repetitions": ("5", 5),
+    "gammas": ("1,4", (1.0, 4.0)),
+    "deltas": ("0.5", (0.5,)),
+    "epsilons": ("0.25,", (0.25,)),
+    "sigmas": ("2, 8", (2.0, 8.0)),
+}
+
+
+def merged_namespace(monkeypatch, command, *args):
+    """The namespace ``main`` hands to a subcommand, captured in its place."""
+    seen = []
+    entry = cli._SUBCOMMANDS[command]
+    capture = lambda ns: seen.append(vars(ns)) or 0  # noqa: E731
+    monkeypatch.setitem(cli._SUBCOMMANDS, command, (capture,) + tuple(entry[1:]))
+    assert run_cli(command, *args) == 0
+    return seen[0]
+
+
+def typed(values):
+    # repr tells 1 from 1.0 and "1", also inside tuples
+    return {key: repr(value) for key, value in values.items()}
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_DEFAULTS))
+def test_merged_defaults_per_command(monkeypatch, command):
+    merged = merged_namespace(monkeypatch, command)
+    assert typed(merged) == typed(EXPECTED_DEFAULTS[command])
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED_DEFAULTS))
+def test_config_file_sets_every_key(monkeypatch, tmp_path, command):
+    keys = list(EXPECTED_DEFAULTS[command])
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key}={CONFIG_VALUES[key][0]}\n" for key in keys))
+    expected = {key: CONFIG_VALUES[key][1] for key in keys}
+    assert all(expected[k] != EXPECTED_DEFAULTS[command][k] for k in keys)
+    merged = merged_namespace(monkeypatch, command, "--config", cfg)
+    assert typed(merged) == typed(expected)
+
+
+def test_staged_write_failure_leaves_target_untouched(tmp_path):
+    target = tmp_path / "table.csv"
+    target.write_text("old\n")
+
+    def failing_writer(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError):
+        cli._staged(str(target), failing_writer)
+    assert target.read_text() == "old\n"
+    with pytest.raises(RuntimeError):
+        cli._staged(str(tmp_path / "fresh.csv"), failing_writer)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+
+def test_staged_write_text_and_writer(tmp_path):
+    text_target, file_target = tmp_path / "best.txt", tmp_path / "rows.csv"
+
+    def writer(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("x,y\n")
+
+    cli._staged(str(text_target), "a=1\n")
+    cli._staged(str(file_target), writer)
+    assert text_target.read_text() == "a=1\n"
+    assert file_target.read_text() == "x,y\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.txt", "rows.csv"]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cdfsvm.core import (Dataset, GKernelSpec, KernelSpec, LabelConvention,
-                         Scaler, decide, normalize, subset, to_internal_labels)
+from cdfsvm.core import (Dataset, GKernelSpec, KernelSpec, Scaler, decide,
+                         normalize, subset, to_internal_labels)
 
 
 def test_normalize_affine_identity():
@@ -68,12 +68,6 @@ def test_decide_rejects_non_finite():
         decide(np.nan)
     with pytest.raises(ValueError):
         decide([0.2, np.inf])
-
-
-def test_label_convention_threshold():
-    conv = LabelConvention()
-    assert conv.threshold == 0.5
-    assert conv.decide(0.51) == 1
 
 
 def test_to_internal_labels_conventions():

@@ -32,7 +32,7 @@ def test_v_gaussian_step_at_mean():
 
 def test_v_gaussian_step_limit():
     mu = MeasureSpec.gaussian([0.0], [1.0])
-    assert v_gaussian_step(mu, [40.0]) == pytest.approx(1.0, abs=1e-12)
+    assert v_gaussian_step(mu, [-40.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_v_gaussian_step_2d_product_of_halves():
@@ -44,7 +44,7 @@ def test_v_gaussian_step_monotone_1d():
     mu = MeasureSpec.gaussian([0.3], [0.7])
     xs = np.linspace(-2.0, 2.0, 41)
     vals = [v_gaussian_step(mu, [x]) for x in xs]
-    assert np.all(np.diff(vals) >= 0.0)
+    assert np.all(np.diff(vals) <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,8 @@ def test_v_matrix_step_diagonal_equals_v_vector():
     # theta^2 = theta, so V_ii is the plain weight of x_i
     rng = np.random.default_rng(13)
     X = rng.random((6, 2))
-    for mu in (MeasureSpec.unit_box(2), MeasureSpec.empirical(rng.random((40, 2)))):
+    for mu in (MeasureSpec.unit_box(2), MeasureSpec.empirical(rng.random((40, 2))),
+               MeasureSpec.gaussian([0.4, 0.6], [0.3, 0.5])):
         V = v_matrix(X, STEP, mu)
         w = v_vector(X, STEP, mu, normalize=False)
         assert np.allclose(np.diag(V.values), w.values, atol=1e-12)

@@ -526,6 +526,17 @@ def test_vsvm_singularity_guard():
         fit_vsvm(data, K, V, gamma=1e-300)
 
 
+def test_vsvm_offset_guard_zero_weights():
+    # V = 0 leaves M = gamma*I well conditioned, but 1'V(K A_c - 1) is 0,
+    # so the offset c is undefined
+    rng = np.random.default_rng(41)
+    data = make_dataset(rng.random((6, 2)), [0, 1, 0, 1, 1, 0])
+    K = gram(KernelSpec.rbf(1.0), data.features)
+    V = VMatrix(np.zeros((6, 6)), GKernelSpec.step(), MeasureSpec.point_mass())
+    with pytest.raises(SingularSystemError, match="offset denominator vanishes"):
+        fit_vsvm(data, K, V, gamma=1.0)
+
+
 # ---------------------------------------------------------------------------
 # prediction and serialization
 
