@@ -109,7 +109,7 @@ def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
                     line = boundary_from_linear(chosen[key])
                     columns[(method, ind)].ks.append(line.slope)
                     columns[(method, ind)].qs.append(line.intercept)
-            except (SolverError, ValueError, np.linalg.LinAlgError):
+            except (SolverError, ValueError):
                 for col in cols:
                     col.failures += 1
                     if col.failures >= max_failures:
@@ -187,7 +187,7 @@ def run_uci_benchmark(datasets, methods, grid: GridSpec,
                     gmean_mean=float(gms.mean()), gmean_std=float(gms.std(ddof=1)),
                     acc_mean=float(accs.mean()), acc_std=float(accs.std(ddof=1)),
                     best=best))
-            except (SolverError, ValueError, np.linalg.LinAlgError) as exc:
+            except (SolverError, ValueError) as exc:
                 out.append(DatasetRow(dataset=name, method=method,
                                       status=f"failed: {exc}"))
     return out

@@ -2,10 +2,11 @@
 
 Each option is declared once, in ``_OPTIONS``, and each subcommand lists
 the options it takes in ``_SUBCOMMANDS``. Every flag has a matching key in
-an optional flat key=value config file (--config); explicit flags override
-file values. Commands are deterministic given their full flag set
-including the seed. Results go to stdout and the output files; diagnostics
-go to stderr; the exit code is 0 only when all requested work completed.
+an optional flat key=value config file (--config), whose values are parsed
+as flags are; explicit flags override file values. Commands are
+deterministic given their full flag set including the seed. Results go to
+stdout and the output files; diagnostics go to stderr; the exit code is 0
+only when all requested work completed.
 """
 
 from __future__ import annotations
@@ -57,12 +58,11 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _converter(default):
-    return _float_list if isinstance(default, tuple) else type(default)
-
-
-def _load_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_values(parser, command: str, path: str) -> dict:
+    """Options set in a flat key=value file, parsed as the subcommand's own
+    flags, so they pass the same converters and choices checks."""
+    names = _defaults(command)
+    args = [command]
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -71,20 +71,13 @@ def _load_config(path: str) -> dict[str, str]:
             if "=" not in stripped:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, _, value = stripped.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _merge(defaults: dict, explicit: dict) -> argparse.Namespace:
-    merged = dict(defaults)
-    config_path = explicit.pop("config", None)
-    if config_path:
-        for key, raw in _load_config(config_path).items():
-            if key not in merged:
+            key = key.strip().replace("-", "_")
+            if key not in names:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _converter(defaults[key])(raw)
-    merged.update(explicit)
-    return argparse.Namespace(**merged)
+            args.append(f"--{key.replace('_', '-')}={value.strip()}")
+    values = vars(parser.parse_args(args))
+    del values["command"]
+    return values
 
 
 def _weight_config(ns) -> WeightConfig:
@@ -113,7 +106,7 @@ def _cmd_synth(ns) -> int:
         raw, labels = sample_gaussian_2d(spec)
         line = bayes_boundary_2d(spec)
         info = f"Bayes boundary: x2 = {line.slope:g}*x1 + {line.intercept:g}"
-    elif ns.kind == "robust1d":
+    else:  # robust1d
         spec = Robustness1DSpec(n=ns.n, seed=ns.seed)
         raw, labels = sample_robustness_1d(spec)
         coef = (spec.center_neg - spec.center_pos) / spec.var
@@ -122,8 +115,6 @@ def _cmd_synth(ns) -> int:
             info = f"Bayes posterior: P(y=1|x) = 1/(1+exp({coef:g}*x))"
         else:
             info = f"Bayes posterior: P(y=1|x) = 1/(1+exp({coef:g}*x + {-shift:g}))"
-    else:
-        raise ValueError(f"unknown synthetic kind {ns.kind!r}")
     _staged(ns.out, lambda tmp: save_csv(tmp, raw, labels))
     print(f"wrote {ns.out} ({raw.shape[0]} rows, {raw.shape[1]} features)")
     print(info)
@@ -144,8 +135,6 @@ def _split_train_test(data, ns):
 
 
 def _cmd_fit(ns) -> int:
-    if ns.method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
     data = load_csv(ns.dataset, label_column=ns.label_column,
                     positive_label=ns.positive_label or None)
     train, test = _split_train_test(data, ns)
@@ -201,8 +190,6 @@ def _cmd_predict(ns) -> int:
 
 
 def _cmd_cv(ns) -> int:
-    if ns.indicator not in ("acc", "vac"):
-        raise ValueError("cv indicator must be acc or vac")
     data = load_csv(ns.dataset, label_column=ns.label_column,
                     positive_label=ns.positive_label or None)
     result = grid_search(data, ns.method, _grid_spec(ns, ns.indicator),
@@ -349,20 +336,26 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", default=argparse.SUPPRESS,
                          help="flat key=value config file; flags override it")
         for key, default in _defaults(name).items():
-            choices = (("acc", "vac") if key == "indicator" and name == "cv"
+            # only bench-bayes scores both indicators
+            choices = (("acc", "vac") if key == "indicator" and name != "bench-bayes"
                        else _CHOICES.get(key))
             sub.add_argument("--" + key.replace("_", "-"),
                              default=argparse.SUPPRESS, choices=choices,
-                             type=_converter(default), help=f"default: {default}")
+                             type=_float_list if isinstance(default, tuple) else type(default),
+                             help=f"default: {default}")
     return parser
 
 
 def main(argv=None) -> int:
-    explicit = vars(_build_parser().parse_args(argv))
+    parser = _build_parser()
+    explicit = vars(parser.parse_args(argv))
     command = explicit.pop("command")
     try:
-        merged = _merge(_defaults(command), explicit)
-        return _SUBCOMMANDS[command][0](merged)
+        merged = _defaults(command)
+        if "config" in explicit:
+            merged.update(_config_values(parser, command, explicit.pop("config")))
+        merged.update(explicit)
+        return _SUBCOMMANDS[command][0](argparse.Namespace(**merged))
     except (OSError, ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -279,24 +279,32 @@ def v_empirical(mu: MeasureSpec, g: GKernelSpec, x, combine: str = "product") ->
     refs = mu.references
     if x.size != refs.shape[1]:
         raise ValueError(f"dimension mismatch: {x.size} vs {refs.shape[1]}")
-    return float(_empirical_values(x[None, :], g, refs, combine)[0])
+    return float(_empirical_kernel(x[None, :], g, refs, combine).mean(axis=0)[0])
 
 
-def _empirical_values(samples, g, refs, combine):
-    if combine == "product":
-        if g.kind == "step":
-            hits = np.all(refs[:, None, :] >= samples[None, :, :], axis=2)
-            return hits.mean(axis=0)
-        sq = np.sum((refs[:, None, :] - samples[None, :, :]) ** 2, axis=2)
-        return np.exp(-sq / (2.0 * g.sigma**2)).mean(axis=0)
-    if combine == "additive":
-        diffs = refs[:, None, :] - samples[None, :, :]
-        if g.kind == "step":
-            parts = (diffs >= 0.0).astype(float)
+_BLOCK = 1 << 20  # elements in one (N, block, d) temporary: 8 MB of float64
+
+
+def _empirical_kernel(samples, g, refs, combine="product"):
+    """(N, m) matrix of G(ref_n - x_i), built over blocks of samples so that
+    no temporary holds more than about _BLOCK elements instead of N*m*d;
+    each entry is computed as it would be in one piece."""
+    if combine not in ("product", "additive"):
+        raise ValueError(f"unknown combine mode {combine!r}")
+    N, d = refs.shape
+    step = max(1, _BLOCK // (N * d))
+    blocks = []
+    for lo in range(0, samples.shape[0], step):
+        diffs = refs[:, None, :] - samples[None, lo:lo + step, :]
+        if combine == "additive":
+            parts = (diffs >= 0.0 if g.kind == "step"
+                     else np.exp(-(diffs**2) / (2.0 * g.sigma**2)))
+            blocks.append(parts.mean(axis=2))
+        elif g.kind == "step":
+            blocks.append(np.all(diffs >= 0.0, axis=2))
         else:
-            parts = np.exp(-(diffs**2) / (2.0 * g.sigma**2))
-        return parts.mean(axis=2).mean(axis=0)
-    raise ValueError(f"unknown combine mode {combine!r}")
+            blocks.append(np.exp(-np.sum(diffs**2, axis=2) / (2.0 * g.sigma**2)))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +329,7 @@ def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
     elif mu.kind == "empirical":
         if samples.shape[1] != mu.references.shape[1]:
             raise ValueError("sample/reference dimension mismatch")
-        values = _empirical_values(samples, g, mu.references, combine)
+        values = _empirical_kernel(samples, g, mu.references, combine).mean(axis=0)
     else:
         parts = _per_dim_integrals(samples, g, mu)
         values = np.prod(parts, axis=1) if combine == "product" else parts.mean(axis=1)
@@ -352,11 +360,7 @@ def v_matrix(samples, g: GKernelSpec, mu: MeasureSpec) -> VMatrix:
         refs = mu.references
         if refs.shape[1] != d:
             raise ValueError("sample/reference dimension mismatch")
-        if g.kind == "step":
-            W = np.all(refs[:, None, :] >= X[None, :, :], axis=2).astype(float)
-        else:
-            sq = np.sum((refs[:, None, :] - X[None, :, :]) ** 2, axis=2)
-            W = np.exp(-sq / (2.0 * g.sigma**2))
+        W = _empirical_kernel(X, g, refs).astype(float, copy=False)
         vals = (W.T @ W) / refs.shape[0]
         return VMatrix(_mirror(vals), g, mu)
 

@@ -235,7 +235,7 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
                             cell["vac"] = (vac(y_val, pred, v_val)
                                            if vac_defined else np.nan)
                             cell["valid"] = True
-                        except (SolverError, ValueError, np.linalg.LinAlgError) as exc:
+                        except (SolverError, ValueError) as exc:
                             cell.update(acc=np.nan, vac=np.nan, valid=False,
                                         error=str(exc))
                         rows.append(cell)

@@ -25,8 +25,10 @@ rule and this one recover boundaries whose distances agree to within
 
 The weighted epsilon-insensitive dual uses symmetric per-sample boxes
 |b_i| <= gamma*v_i; the hinge-loss dual uses one-sided boxes and eps = 0.
-The closed-form models (vsvm, lssvm, idlssvm) solve small dense linear
-systems.
+The closed-form models (vsvm, lssvm, idlssvm) share one system and one
+solve: the offset comes from two right-hand sides as in Suykens &
+Vandewalle (1999), and a third, probe column gives a one-solve condition
+estimate in the spirit of Higham's (ACM TOMS 14, 1988), one guard for all.
 
 All fitted models expose scores f(x) = scale * (sum_i a_i K(x_i, x) + b)
 + shift so a single 0.5-threshold decision rule applies everywhere.
@@ -470,75 +472,80 @@ def fit_csvm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> DualModel:
 # ---------------------------------------------------------------------------
 # closed-form fits
 
+def _fit_closed_form(data: Dataset, K: GramMatrix, gamma: float, method: str,
+                     V: VMatrix | None = None, rho: np.ndarray | None = None
+                     ) -> ClosedFormModel:
+    """Solve M A = b_y - c b_1 with 1'A = 0: with V, M = VK + gamma I and
+    [b_y, b_1] = V[Y, 1]; else M = K + diag(1/(gamma rho)) and [b_y, b_1] = [Y, 1].
+
+    One solve gives M [A_y, A_1, z] = [b_y, b_1, p]; then c = 1'A_y / 1'A_1
+    and A = A_y - c A_1. SingularSystemError is raised when the solve fails;
+    when ||M|| max_k ||x_k|| / ||b_k||, a lower bound on the infinity-norm
+    condition number of M, exceeds 1e10; when 1'A_1 vanishes against
+    sum |A_1|; or when the residual of A exceeds 1e-8 of its right side.
+    The probe p_i = (-1)^i (1 + i/(m-1)) has a component along every
+    near-null vector e_i - e_j of duplicate rows, which the infinity norm
+    keeps at full weight where a 1-norm would dilute it by about m/2.
+    """
+    # single-class data is fine for vsvm: the constant fit f = c is exact then
+    _check_fit_inputs(data, K, require_both_classes=V is None)
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
+    m = data.m
+    rhs = np.column_stack([data.labels.astype(float), np.ones(m)])
+    if V is None:
+        M = K.values.copy()
+        M.flat[::m + 1] += 1.0 / (gamma * rho)
+    else:
+        if V.values.shape != (m, m):
+            raise ValueError("V-matrix does not match the dataset")
+        M = V.values @ K.values
+        M.flat[::m + 1] += gamma
+        # one product, so constant labels give bit-identical columns and A = 0
+        rhs = V.values @ rhs
+    i = np.arange(m)
+    B = np.column_stack([rhs, np.where(i % 2, -1.0, 1.0) * (1.0 + i / max(m - 1, 1))])
+    try:
+        X = np.linalg.solve(M, B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"singular closed-form system: {exc}") from exc
+    b_max = np.abs(B).max(axis=0)
+    used = b_max > 0.0
+    cond = float(np.abs(M).sum(axis=1).max()
+                 * np.max(np.abs(X[:, used]).max(axis=0) / b_max[used]))
+    if not cond <= 1e10:
+        raise SingularSystemError("closed-form system is numerically singular", cond)
+    A_y, A_1 = X[:, 0], X[:, 1]
+    den = float(A_1.sum())
+    if not abs(den) > 1e-12 * float(np.abs(A_1).sum()):
+        raise SingularSystemError("offset denominator vanishes", cond)
+    c = float(A_y.sum()) / den
+    A = A_y - c * A_1
+    resid = np.abs(M @ A - (rhs[:, 0] - c * rhs[:, 1])).sum()
+    if not resid <= 1e-8 * (np.abs(rhs[:, 0]).sum() + abs(c) * np.abs(rhs[:, 1]).sum()):
+        raise SingularSystemError("closed-form residual too large", cond)
+    return ClosedFormModel(
+        coefficients=A, offset=c, support=data.features, kernel=K.spec,
+        scaler=data.scaler, method=method,
+        v_provenance=None if V is None else {"g": V.g_spec.to_dict(), "mu": V.mu.describe()},
+    )
+
+
 def fit_vsvm(data: Dataset, K: GramMatrix, V: VMatrix, gamma: float) -> ClosedFormModel:
     """Closed-form fit of the V-matrix-weighted least-squares objective.
 
         R(A, c) = (KA + c1 - Y)' V (KA + c1 - Y) + gamma A'KA
 
-    Solution: A = A_b - c A_c with A_b = (VK + gamma I)^-1 V Y,
-    A_c = (VK + gamma I)^-1 V 1, c = 1'V(K A_b - Y) / 1'V(K A_c - 1).
+    Stationarity gives (VK + gamma I) A = V(Y - c1) and 1'A = 0, so
+    A = A_y - c A_1 with A_y = (VK + gamma I)^-1 V Y, A_1 = (VK + gamma I)^-1 V 1
+    and c = 1'A_y / 1'A_1.
     """
-    # single-class data is fine here: the constant fit f = c is exact then
-    _check_fit_inputs(data, K, require_both_classes=False)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    if V.values.shape != (data.m, data.m):
-        raise ValueError("V-matrix does not match the dataset")
-    Km = K.values
-    Vm = V.values
-    y = data.labels.astype(float)
-    ones = np.ones(data.m)
-    M = Vm @ Km + gamma * np.eye(data.m)
-    cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > 1e10:
-        raise SingularSystemError("VK + gamma*I is numerically singular", cond)
-    rhs = np.column_stack([Vm @ y, Vm @ ones])
-    sol = np.linalg.solve(M, rhs)
-    A_b, A_c = sol[:, 0], sol[:, 1]
-    den = float(ones @ (Vm @ (Km @ A_c - ones)))
-    if abs(den) < 1e-12 * max(1.0, float(np.abs(Vm).sum())):
-        raise SingularSystemError("offset denominator vanishes", cond)
-    c = float(ones @ (Vm @ (Km @ A_b - y))) / den
-    A = A_b - c * A_c
-    resid = M @ A - Vm @ (y - c * ones)
-    ref = max(float(np.linalg.norm(Vm @ (y - c * ones))), 1e-30)
-    if float(np.linalg.norm(resid)) > 1e-8 * max(ref, 1.0):
-        raise SingularSystemError("closed-form residual too large", cond)
-    return ClosedFormModel(
-        coefficients=A, offset=c, support=data.features, kernel=K.spec,
-        scaler=data.scaler, method="vsvm",
-        v_provenance={"g": V.g_spec.to_dict(), "mu": V.mu.describe()},
-    )
-
-
-def _solve_bordered(Km: np.ndarray, diag: np.ndarray, y: np.ndarray):
-    """Solve [[K + diag, 1], [1', 0]] [alpha; b] = [y; 0]."""
-    m = y.size
-    B = np.empty((m + 1, m + 1))
-    B[:m, :m] = Km + np.diag(diag)
-    B[:m, m] = 1.0
-    B[m, :m] = 1.0
-    B[m, m] = 0.0
-    rhs = np.concatenate([y, [0.0]])
-    try:
-        sol = np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"singular bordered system: {exc}") from exc
-    resid = float(np.linalg.norm(B @ sol - rhs))
-    if resid > 1e-8 * max(float(np.linalg.norm(rhs)), 1.0):
-        raise SingularSystemError("bordered system residual too large")
-    return sol[:m], float(sol[m])
+    return _fit_closed_form(data, K, gamma, "vsvm", V=V)
 
 
 def fit_lssvm(data: Dataset, K: GramMatrix, gamma: float) -> ClosedFormModel:
     """Least-squares fit from the saddle system (K + I/gamma) a + b1 = Y, 1'a = 0."""
-    _check_fit_inputs(data, K)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    alpha, b = _solve_bordered(K.values, np.full(data.m, 1.0 / gamma),
-                               data.labels.astype(float))
-    return ClosedFormModel(coefficients=alpha, offset=b, support=data.features,
-                           kernel=K.spec, scaler=data.scaler, method="lssvm")
+    return _fit_closed_form(data, K, gamma, "lssvm", rho=np.ones(data.m))
 
 
 def _density_weights(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -560,14 +567,8 @@ def _density_weights(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 def fit_idlssvm(data: Dataset, K: GramMatrix, gamma: float, k: int = 5) -> ClosedFormModel:
     """Density-weighted least-squares fit: (K + diag(1/(gamma*rho))) a + b1 = Y."""
-    _check_fit_inputs(data, K)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
     rho = _density_weights(data.features, data.labels, k)
-    alpha, b = _solve_bordered(K.values, 1.0 / (gamma * rho),
-                               data.labels.astype(float))
-    return ClosedFormModel(coefficients=alpha, offset=b, support=data.features,
-                           kernel=K.spec, scaler=data.scaler, method="idlssvm")
+    return _fit_closed_form(data, K, gamma, "idlssvm", rho=rho)
 
 
 # ---------------------------------------------------------------------------

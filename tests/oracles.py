@@ -57,7 +57,9 @@ def qp_reference(K, y, epsilon, caps, caps_neg=None, max_iter=40_000, stall=1_20
     caps = np.asarray(caps, dtype=float)
     m = y.size
     eigs = np.linalg.eigvalsh(K)
-    lip = 2.0 * max(float(eigs[-1]), 1e-12)
+    # floored so that a zero K (an LP) does not take steps of 5e11, whose
+    # rounding in the projection leaves the feasible set
+    lip = 2.0 * max(float(eigs[-1]), 1e-6)
     step = 1.0 / lip
 
     def objective(z):

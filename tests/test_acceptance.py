@@ -152,6 +152,7 @@ BOUNDARY_GRID = dict(gammas=tuple(2.0**k for k in range(-4, 5)),
 BOUNDARY_WEIGHTS = WeightConfig(g_kind="gaussian", mu_kind="uniform")
 
 
+@pytest.mark.slow
 def test_criterion_5_bayes_boundary_bands():
     """Ten independent 100-repetition boundary-recovery runs at n=200:
     slope and intercept land in their bands and the weighted tube model
@@ -181,6 +182,7 @@ def test_criterion_5_bayes_boundary_bands():
            f"{np.mean(q_means):+.3f}, wins {wins}/10, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_vac_selection_helps():
     """For the unweighted baselines at n=100, Vac-selected models are at
     least as close to the optimal boundary as Acc-selected ones.

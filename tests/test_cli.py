@@ -235,6 +235,20 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("gammas=,", "argument --gammas: expected a comma-separated float list"),
+    ("kernel=poly", "argument --kernel: invalid choice: 'poly'"),
+    ("indicator=both", "argument --indicator: invalid choice: 'both'"),
+])
+def test_config_values_checked_as_flags(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("cv", "--dataset", tmp_path / "unused.csv", "--config", cfg)
+    assert exc.value.code == 2
+    assert "error: " + message in capsys.readouterr().err
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     assert run_cli("fit", "--dataset", tmp_path / "missing.csv") == 2
     assert "error:" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import midpoint_quadrature
 
+from cdfsvm import distribution
 from cdfsvm.core import GKernelSpec
 from cdfsvm.distribution import (MeasureSpec, VWeights, v_empirical,
                                  v_gaussian_step, v_matrix,
@@ -225,6 +226,39 @@ def test_v_matrix_empirical_matches_double_loop():
             brute[i, j] = acc / 9
     # matmul and the explicit loop differ only by float summation order
     assert np.allclose(V, brute, rtol=1e-12, atol=1e-14)
+
+
+def one_piece_empirical(X, refs, sigma):
+    """The N x m x d empirical-weight formulas, (combine, kernel) -> W."""
+    diffs = refs[:, None, :] - X[None, :, :]
+    sq = np.sum((refs[:, None, :] - X[None, :, :]) ** 2, axis=2)
+    return {
+        ("product", "step"): np.all(refs[:, None, :] >= X[None, :, :], axis=2),
+        ("product", "gaussian"): np.exp(-sq / (2.0 * sigma**2)),
+        ("additive", "step"): (diffs >= 0.0).astype(float).mean(axis=2),
+        ("additive", "gaussian"): np.exp(-(diffs**2) / (2.0 * sigma**2)).mean(axis=2),
+    }
+
+
+@pytest.mark.parametrize("block", [50, 500])
+def test_empirical_weights_chunked_bit_identical(monkeypatch, block):
+    # with block=500 the 53 samples span 14 blocks of 4; with block=50,
+    # below N*d, each sample is its own block
+    rng = np.random.default_rng(17)
+    X = rng.random((53, 3))
+    refs = rng.random((37, 3))
+    mu = MeasureSpec.empirical(refs)
+    single = one_piece_empirical(X[7:8], refs, 0.4)
+    monkeypatch.setattr(distribution, "_BLOCK", block)
+    for (combine, kind), W in one_piece_empirical(X, refs, 0.4).items():
+        g = STEP if kind == "step" else GAUSS(0.4)
+        got = v_vector(X, g, mu, combine=combine, normalize=False).values
+        assert np.array_equal(got, W.mean(axis=0)), (combine, kind)
+        assert v_empirical(mu, g, X[7], combine) == single[combine, kind].mean(axis=0)[0]
+        if combine == "product":
+            W = W.astype(float)
+            assert np.array_equal(v_matrix(X, g, mu).values,
+                                  distribution._mirror((W.T @ W) / 37)), kind
 
 
 def test_v_matrix_point_mass_is_identity():

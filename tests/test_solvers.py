@@ -14,7 +14,7 @@ from cdfsvm.solvers import (DualModel, SingularSystemError, SolverConfig,
                             _solve_pairwise, dual_objective, fit_csvm,
                             fit_eps_l1_svm, fit_eps_l1_vsvm, fit_idlssvm,
                             fit_lssvm, fit_vsvm, load_model, predict,
-                            save_model)
+                            save_model, _density_weights)
 
 TIGHT = dict(tolerance=1e-8, max_iter=300_000)
 
@@ -535,6 +535,105 @@ def test_vsvm_offset_guard_zero_weights():
     V = VMatrix(np.zeros((6, 6)), GKernelSpec.step(), MeasureSpec.point_mass())
     with pytest.raises(SingularSystemError, match="offset denominator vanishes"):
         fit_vsvm(data, K, V, gamma=1.0)
+
+
+def guard_case(method, seed):
+    """One seeded closed-form instance: the fit to run, its system matrix M,
+    whose 2-norm condition number is the guard sweep's oracle, the weight
+    matrix W of its stationarity condition M A = W (y - c 1), and y."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(8, 41))
+    d = int(rng.integers(1, 6))
+    X = rng.random((m, d))
+    if rng.random() < 0.5:  # the first n rows duplicate later rows
+        n = int(rng.integers(1, m // 2))
+        X[:n] = X[rng.integers(n, m, n)]
+    labels = rng.permutation(np.arange(m) % 2)
+    data = make_dataset(X, labels)
+    spec = (KernelSpec.rbf(float(2.0 ** rng.uniform(-3, 3))) if rng.random() < 0.5
+            else KernelSpec.linear())
+    K = gram(spec, data.features)
+    t = float(10.0 ** rng.uniform(-14, 1))  # the small regularization term
+    y = labels.astype(float)
+    if method == "vsvm":
+        g = (GKernelSpec.gaussian(float(2.0 ** rng.uniform(-2, 1)))
+             if rng.random() < 0.5 else GKernelSpec.step())
+        kind = int(rng.integers(4))
+        mu = (MeasureSpec.empirical(rng.random((int(rng.integers(2, 2 * m)), d))),
+              MeasureSpec.unit_box(d),
+              MeasureSpec.gaussian(np.full(d, 0.5), np.full(d, 0.3)),
+              MeasureSpec.point_mass())[kind]
+        V = v_matrix(data.features, g, mu)
+        M = V.values @ K.values + t * np.eye(m)
+        return (lambda: fit_vsvm(data, K, V, t)), M, V.values, y
+    rho = (np.ones(m) if method == "lssvm"
+           else _density_weights(data.features, data.labels, 2))
+    M = K.values + np.diag(t / rho)
+    if method == "lssvm":
+        return (lambda: fit_lssvm(data, K, 1.0 / t)), M, np.eye(m), y
+    return (lambda: fit_idlssvm(data, K, 1.0 / t, k=2)), M, np.eye(m), y
+
+
+def tiny_gamma_case(mu, sigma, delta, gamma):
+    """A vsvm fit at gamma far below 1e-12 whose VK + gamma*I is well
+    conditioned, in guard_case's form."""
+    rng = np.random.default_rng(4000)
+    data = make_dataset(rng.random((20, 2)), np.arange(20) % 2)
+    K = gram(KernelSpec.rbf(delta), data.features)
+    V = v_matrix(data.features, GKernelSpec.gaussian(sigma), mu)
+    M = V.values @ K.values + gamma * np.eye(20)
+    return (lambda: fit_vsvm(data, K, V, gamma)), M, V.values, data.labels.astype(float)
+
+
+# vsvm fits with cond(VK + gamma*I) 7.8e3, 1.2e5 and 8.9e5 that a guard
+# testing 1'V(K A_1 - 1) against 1e-12*max(1, sum V) rejected as "offset
+# denominator vanishes": that denominator equals -gamma * 1'A_1, so such a
+# test is not scale-free in gamma
+TINY_GAMMA_CASES = {
+    "empirical": (MeasureSpec.empirical(np.random.default_rng(1).random((400, 2))),
+                  0.05, 0.2, 1e-13),
+    "uniform_box": (MeasureSpec.unit_box(2), 0.1, 0.2, 1e-14),
+    "gaussian": (MeasureSpec.gaussian([0.5, 0.5], [0.3, 0.3]), 0.2, 0.1, 5e-13),
+}
+
+
+@pytest.mark.parametrize("method", ["vsvm", "lssvm", "idlssvm"])
+def test_closed_form_guard_sweep(method):
+    """120 seeded instances per method, plus TINY_GAMMA_CASES for vsvm:
+    every fit whose system has 2-norm condition number above 1e11 raises
+    SingularSystemError, and every fit below 1e6 succeeds and satisfies its
+    stationarity conditions."""
+    base = 7100 + 1000 * ("vsvm", "lssvm", "idlssvm").index(method)
+    cases = {seed: guard_case(method, seed) for seed in range(base, base + 120)}
+    if method == "vsvm":
+        cases.update((name, tiny_gamma_case(*args))
+                     for name, args in TINY_GAMMA_CASES.items())
+    missed, rejected = [], []
+    singular = fitted = 0
+    for key, (fit, M, W, y) in cases.items():
+        cond = float(np.linalg.cond(M))
+        if cond > 1e11:
+            singular += 1
+            try:
+                fit()
+                missed.append((key, cond))
+            except SingularSystemError:
+                pass
+        elif cond <= 1e6:
+            fitted += 1
+            try:
+                model = fit()
+            except SingularSystemError as exc:
+                rejected.append((key, cond, str(exc)))
+                continue
+            A, c = model.coefficients, model.offset
+            resid = np.abs(M @ A - W @ (y - c)).sum()
+            scale = np.abs(W @ y).sum() + abs(c) * np.abs(W.sum(axis=1)).sum()
+            if not (resid <= 1e-8 * scale and abs(A.sum()) <= 1e-8 * np.abs(A).sum()):
+                rejected.append((key, cond, "stationarity"))
+    assert not missed, f"fits above cond 1e11: {missed}"
+    assert not rejected, f"fits below cond 1e6 rejected: {rejected}"
+    assert singular >= 20 and fitted >= 20, (singular, fitted)
 
 
 # ---------------------------------------------------------------------------
