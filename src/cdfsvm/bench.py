@@ -69,8 +69,7 @@ def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
                         wcfg: WeightConfig = WeightConfig(),
                         indicators=("acc",), seed: int = 0,
                         spec: GaussianSpec2D | None = None,
-                        max_failures: int = 3,
-                        solver: dict | None = None) -> dict:
+                        max_failures: int = 3) -> dict:
     """Repeated sample/tune/fit rounds on the 2-D generator.
 
     Returns {(method, indicator): BoundaryColumn}. The pseudo-method
@@ -98,14 +97,13 @@ def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
                 continue
             try:
                 rows = cv_table(data, method, rep_grid, kernel_kind="linear",
-                                wcfg=wcfg, solver=solver)
+                                wcfg=wcfg)
                 chosen = {}
                 for ind in indicators:
                     best, _ = select_best(rows, ind)
                     key = tuple(sorted(best.items(), key=lambda kv: kv[0]))
                     if key not in chosen:
-                        chosen[key] = fit_full(data, method, best, "linear",
-                                               wcfg, solver=solver)
+                        chosen[key] = fit_full(data, method, best, "linear", wcfg)
                     line = boundary_from_linear(chosen[key])
                     columns[(method, ind)].ks.append(line.slope)
                     columns[(method, ind)].qs.append(line.intercept)
@@ -155,8 +153,7 @@ class DatasetRow:
 
 def run_uci_benchmark(datasets, methods, grid: GridSpec,
                       kernel_kind: str = "rbf",
-                      wcfg: WeightConfig = WeightConfig(),
-                      solver: dict | None = None) -> list[DatasetRow]:
+                      wcfg: WeightConfig = WeightConfig()) -> list[DatasetRow]:
     """Per dataset and method: CV-selected configuration, then k-fold metrics.
 
     ``datasets`` holds (name, Dataset | Exception) pairs; unreadable entries
@@ -170,14 +167,13 @@ def run_uci_benchmark(datasets, methods, grid: GridSpec,
             continue
         for method in methods:
             try:
-                rows = cv_table(data, method, grid, kernel_kind, wcfg, solver=solver)
+                rows = cv_table(data, method, grid, kernel_kind, wcfg)
                 best, _ = select_best(rows, grid.indicator)
                 splits = kfold_split(data.m, grid.folds, grid.seed + 1,
                                      labels=data.labels)
                 gms, accs = [], []
                 for tr, te in splits:
-                    model = fit_full(subset(data, tr), method, best, kernel_kind,
-                                     wcfg, solver=solver)
+                    model = fit_full(subset(data, tr), method, best, kernel_kind, wcfg)
                     pred = decide(predict(model, data.features[te]))
                     gms.append(gmean(data.labels[te], pred))
                     accs.append(accuracy(data.labels[te], pred))

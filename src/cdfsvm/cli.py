@@ -93,8 +93,10 @@ def _grid_spec(ns, indicator: str) -> GridSpec:
                     seed=ns.seed)
 
 
-def _provenance(ns, keys) -> str:
-    return " ".join(f"{k}={getattr(ns, k)}" for k in keys)
+def _provenance(ns, command: str) -> str:
+    """The subcommand's options but the output directory, as key=value."""
+    return " ".join(f"{k}={getattr(ns, k)}" for k in _defaults(command)
+                    if k != "out_dir")
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +124,24 @@ def _cmd_synth(ns) -> int:
 
 
 def _split_train_test(data, ns):
+    """(train, test, test indices in data); the indices are None when the
+    test rows come from a separate file."""
     if ns.test_file:
         test = load_csv(ns.test_file, label_column=ns.label_column,
                         positive_label=ns.positive_label or None,
                         scaler=data.scaler)
-        return data, test
+        return data, test, None
     if not 0.0 < ns.train_frac < 1.0:
         raise ValueError("train_frac must lie strictly between 0 and 1")
     folds = max(2, round(1.0 / (1.0 - ns.train_frac)))
     train_idx, test_idx = kfold_split(data.m, folds, ns.seed, labels=data.labels)[0]
-    return subset(data, train_idx), subset(data, test_idx)
+    return subset(data, train_idx), subset(data, test_idx), test_idx
 
 
 def _cmd_fit(ns) -> int:
     data = load_csv(ns.dataset, label_column=ns.label_column,
                     positive_label=ns.positive_label or None)
-    train, test = _split_train_test(data, ns)
+    train, test, test_idx = _split_train_test(data, ns)
     wcfg = _weight_config(ns)
     params = dict(gamma=ns.gamma, delta=ns.delta, epsilon=ns.epsilon,
                   sigma=ns.sigma)
@@ -146,26 +150,21 @@ def _cmd_fit(ns) -> int:
     # test rows keep their position in the full sample only for the split
     # path; with an external test file their weights are computed directly
     # against the combined reference sample
-    if ns.test_file:
+    if test_idx is None:
         refs = np.vstack([train.features, test.features])
         v_t = wcfg.weights_for(test.features, refs).values
     else:
-        v_eval = wcfg.weights_for(data.features, data.features).values
-        folds = max(2, round(1.0 / (1.0 - ns.train_frac)))
-        _, test_idx = kfold_split(data.m, folds, ns.seed, labels=data.labels)[0]
-        v_t = v_eval[test_idx]
-    provenance = f"g={ns.g_kernel} mu={ns.mu} sigma_eval={ns.sigma_eval}"
+        v_t = wcfg.weights_for(data.features, data.features).values[test_idx]
+    v_provenance = f"g={ns.g_kernel} mu={ns.mu} sigma_eval={ns.sigma_eval}"
     if np.any(v_t <= 0.0):
         # vanishing step-kernel weights: Vac is undefined, report plain Acc
-        v_t, provenance = None, provenance + " (degenerate weights; vac=acc)"
-    report = evaluate(test.labels, pred, v_t, v_provenance=provenance)
+        v_t, v_provenance = None, v_provenance + " (degenerate weights; vac=acc)"
+    report = evaluate(test.labels, pred, v_t, v_provenance=v_provenance)
     os.makedirs(ns.out_dir, exist_ok=True)
     model_path = os.path.join(ns.out_dir, f"model-{ns.method}.json")
     report_path = os.path.join(ns.out_dir, f"report-{ns.method}.csv")
     _staged(model_path, lambda tmp: save_model(model, tmp))
-    provenance = _provenance(ns, ("dataset", "method", "kernel", "gamma", "delta",
-                                  "epsilon", "sigma", "g_kernel", "mu", "combine",
-                                  "seed"))
+    provenance = _provenance(ns, "fit")
     _staged(report_path,
             lambda tmp: reports_to_csv({ns.method: report}, tmp, provenance))
     print(format_report_table({ns.method: report}))
@@ -195,10 +194,7 @@ def _cmd_cv(ns) -> int:
     result = grid_search(data, ns.method, _grid_spec(ns, ns.indicator),
                          ns.kernel, _weight_config(ns))
     os.makedirs(ns.out_dir, exist_ok=True)
-    provenance = _provenance(ns, ("dataset", "method", "kernel", "indicator",
-                                  "folds", "seed", "gammas", "deltas",
-                                  "epsilons", "sigmas", "g_kernel", "mu",
-                                  "combine", "sigma_eval"))
+    provenance = _provenance(ns, "cv")
     table_path = os.path.join(ns.out_dir, "cv-table.csv")
     _staged(table_path, lambda tmp: rows_to_csv(result.rows, tmp, provenance))
     best_path = os.path.join(ns.out_dir, "cv-best.txt")
@@ -225,10 +221,7 @@ def _cmd_bench_bayes(ns) -> int:
                                   wcfg=_weight_config(ns),
                                   indicators=indicators, seed=ns.seed)
     os.makedirs(ns.out_dir, exist_ok=True)
-    provenance = _provenance(ns, ("n", "repetitions", "methods", "indicator",
-                                  "seed", "folds", "gammas", "epsilons",
-                                  "sigmas", "g_kernel", "mu", "combine",
-                                  "sigma_eval"))
+    provenance = _provenance(ns, "bench-bayes")
     reps_path = os.path.join(ns.out_dir, "bench-bayes-reps.csv")
     _staged(reps_path, lambda tmp: write_bayes_csv(columns, tmp, provenance))
     table = bayes_table_text(columns)
@@ -263,10 +256,7 @@ def _cmd_bench_uci(ns) -> int:
     rows = run_uci_benchmark(loaded, methods, _grid_spec(ns, ns.indicator),
                              ns.kernel, _weight_config(ns))
     os.makedirs(ns.out_dir, exist_ok=True)
-    provenance = _provenance(ns, ("datasets", "methods", "kernel", "indicator",
-                                  "folds", "seed", "gammas", "deltas",
-                                  "epsilons", "sigmas", "g_kernel", "mu",
-                                  "combine", "sigma_eval"))
+    provenance = _provenance(ns, "bench-uci")
     csv_path = os.path.join(ns.out_dir, "bench-uci.csv")
     _staged(csv_path, lambda tmp: write_uci_csv(rows, tmp, provenance))
     table = uci_table_text(rows)

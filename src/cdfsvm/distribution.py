@@ -239,6 +239,11 @@ def _per_dim_integrals(samples: np.ndarray, g: GKernelSpec, mu: MeasureSpec) -> 
 # ---------------------------------------------------------------------------
 # single-point estimators
 
+def _point_weight(x, g: GKernelSpec, mu: MeasureSpec, combine: str) -> float:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return float(v_vector(x[None, :], g, mu, combine, normalize=False).values[0])
+
+
 def v_gaussian_step(mu: MeasureSpec, x) -> float:
     """Weight of a point under the step kernel and a gaussian measure.
 
@@ -248,10 +253,7 @@ def v_gaussian_step(mu: MeasureSpec, x) -> float:
     """
     if mu.kind != "gaussian":
         raise ValueError("v_gaussian_step needs a gaussian measure")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != mu.mean.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {mu.mean.shape}")
-    return float(np.prod(ndtr((mu.mean - x) / mu.std)))
+    return _point_weight(x, GKernelSpec.step(), mu, "product")
 
 
 def v_uniform_gaussian(mu: MeasureSpec, g: GKernelSpec, x, combine: str = "product") -> float:
@@ -260,55 +262,71 @@ def v_uniform_gaussian(mu: MeasureSpec, g: GKernelSpec, x, combine: str = "produ
         raise ValueError("v_uniform_gaussian needs a uniform_box measure")
     if g.kind != "gaussian":
         raise ValueError("v_uniform_gaussian needs a gaussian distribution kernel")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != mu.halfwidth.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {mu.halfwidth.shape}")
-    parts = _gauss_vs_uniform(x, mu.center, mu.halfwidth, g.sigma)
-    if combine == "product":
-        return float(np.prod(parts))
-    if combine == "additive":
-        return float(np.mean(parts))
-    raise ValueError(f"unknown combine mode {combine!r}")
+    return _point_weight(x, g, mu, combine)
 
 
 def v_empirical(mu: MeasureSpec, g: GKernelSpec, x, combine: str = "product") -> float:
     """Weight of a point under an empirical measure: average kernel value."""
     if mu.kind != "empirical":
         raise ValueError("v_empirical needs an empirical measure")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    refs = mu.references
-    if x.size != refs.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.size} vs {refs.shape[1]}")
-    return float(_empirical_kernel(x[None, :], g, refs, combine).mean(axis=0)[0])
-
-
-_BLOCK = 1 << 20  # elements in one (N, block, d) temporary: 8 MB of float64
+    return _point_weight(x, g, mu, combine)
 
 
 def _empirical_kernel(samples, g, refs, combine="product"):
-    """(N, m) matrix of G(ref_n - x_i), built over blocks of samples so that
-    no temporary holds more than about _BLOCK elements instead of N*m*d;
-    each entry is computed as it would be in one piece."""
+    """(N, t) matrix of G(ref_n - x_i), accumulated one dimension at a time.
+
+    Beside the output it holds one (N, t) array of differences, and for
+    step kernels one boolean mask, so memory grows as N*t, not as the
+    N*t*d of the one-piece formulas. Step entries equal the one-piece
+    N x t x d formulas exactly at any d. Gaussian entries sum d terms in
+    order, as numpy's reduction over the last axis does below 8 elements;
+    from d >= 8 numpy sums pairwise, and a gaussian entry can differ from
+    the one-piece formula in the last bit.
+    """
     if combine not in ("product", "additive"):
         raise ValueError(f"unknown combine mode {combine!r}")
     N, d = refs.shape
-    step = max(1, _BLOCK // (N * d))
-    blocks = []
-    for lo in range(0, samples.shape[0], step):
-        diffs = refs[:, None, :] - samples[None, lo:lo + step, :]
-        if combine == "additive":
-            parts = (diffs >= 0.0 if g.kind == "step"
-                     else np.exp(-(diffs**2) / (2.0 * g.sigma**2)))
-            blocks.append(parts.mean(axis=2))
-        elif g.kind == "step":
-            blocks.append(np.all(diffs >= 0.0, axis=2))
+    diff = np.empty((N, samples.shape[0]))
+    step_product = combine == "product" and g.kind == "step"
+    out = np.ones(diff.shape, dtype=bool) if step_product else np.zeros(diff.shape)
+    # dividing by -2 sigma^2 rounds exactly as negating, then dividing by 2 sigma^2
+    scale = -2.0 * g.sigma**2 if g.kind == "gaussian" else None
+    for k in range(d):
+        np.subtract(refs[:, k, None], samples[None, :, k], out=diff)
+        if g.kind == "step":
+            part = diff >= 0.0
         else:
-            blocks.append(np.exp(-np.sum(diffs**2, axis=2) / (2.0 * g.sigma**2)))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+            part = np.multiply(diff, diff, out=diff)
+            if combine == "additive":
+                np.exp(np.divide(part, scale, out=part), out=part)
+        if step_product:
+            out &= part
+        else:
+            out += part
+    if combine == "additive":
+        out /= d
+    elif g.kind == "gaussian":
+        np.exp(np.divide(out, scale, out=out), out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # vector and matrix builders
+
+def _samples_for(samples, mu: MeasureSpec) -> np.ndarray:
+    """Samples as an (m, d) float matrix whose d matches the measure's."""
+    X = np.asarray(samples, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("samples must form an (m, d) matrix")
+    d = (mu.halfwidth.size if mu.kind == "uniform_box"
+         else mu.mean.size if mu.kind == "gaussian"
+         else mu.references.shape[1] if mu.kind == "empirical"
+         else X.shape[1])
+    if X.shape[1] != d:
+        raise ValueError(f"dimension mismatch: samples have {X.shape[1]} "
+                         f"dimensions, the {mu.kind} measure {d}")
+    return X
+
 
 def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
              normalize: bool = True) -> VWeights:
@@ -319,16 +337,12 @@ def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
     variant; both live in (0, 1]. With ``normalize`` the vector is divided
     by its maximum so max v_i = 1.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError("samples must form an (m, d) matrix")
+    samples = _samples_for(samples, mu)
     if combine not in ("product", "additive"):
         raise ValueError(f"unknown combine mode {combine!r}")
     if mu.kind == "point_mass":
         values = np.ones(samples.shape[0])
     elif mu.kind == "empirical":
-        if samples.shape[1] != mu.references.shape[1]:
-            raise ValueError("sample/reference dimension mismatch")
         values = _empirical_kernel(samples, g, mu.references, combine).mean(axis=0)
     else:
         parts = _per_dim_integrals(samples, g, mu)
@@ -350,16 +364,12 @@ def v_matrix(samples, g: GKernelSpec, mu: MeasureSpec) -> VMatrix:
     per-dimension closed forms combined by product. The point-mass measure
     degenerates to the identity matrix.
     """
-    X = np.asarray(samples, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("samples must form an (m, d) matrix")
+    X = _samples_for(samples, mu)
     m, d = X.shape
     if mu.kind == "point_mass":
         return VMatrix(np.eye(m), g, mu)
     if mu.kind == "empirical":
         refs = mu.references
-        if refs.shape[1] != d:
-            raise ValueError("sample/reference dimension mismatch")
         W = _empirical_kernel(X, g, refs).astype(float, copy=False)
         vals = (W.T @ W) / refs.shape[0]
         return VMatrix(_mirror(vals), g, mu)

@@ -170,9 +170,9 @@ def _kernel_spec(kernel_kind: str, delta: float | None) -> KernelSpec:
 
 def _fit_cell(method: str, train: Dataset, K, gamma: float,
               epsilon: float | None, weights: VWeights | None,
-              vmat: VMatrix | None, solver: dict):
+              vmat: VMatrix | None):
     if method == "csvm":
-        return fit_csvm(train, K, SolverConfig(gamma=gamma, **solver))
+        return fit_csvm(train, K, SolverConfig(gamma=gamma))
     if method == "lssvm":
         return fit_lssvm(train, K, gamma)
     if method == "idlssvm":
@@ -180,15 +180,15 @@ def _fit_cell(method: str, train: Dataset, K, gamma: float,
     if method == "vsvm":
         return fit_vsvm(train, K, vmat, gamma)
     if method == "eps-l1svm":
-        return fit_eps_l1_svm(train, K, SolverConfig(gamma=gamma, epsilon=epsilon, **solver))
+        return fit_eps_l1_svm(train, K, SolverConfig(gamma=gamma, epsilon=epsilon))
     if method == "eps-l1vsvm":
         return fit_eps_l1_vsvm(train, K, weights,
-                               SolverConfig(gamma=gamma, epsilon=epsilon, **solver))
+                               SolverConfig(gamma=gamma, epsilon=epsilon))
     raise ValueError(f"unknown method {method!r}")
 
 
 def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf",
-             wcfg: WeightConfig = WeightConfig(), solver: dict | None = None):
+             wcfg: WeightConfig = WeightConfig()):
     """Evaluate every grid cell on every fold.
 
     Returns one row per (cell, fold) carrying both indicators; failed fits
@@ -196,7 +196,6 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    solver = solver or {}
     deltas = grid.deltas if kernel_kind == "rbf" else (None,)
     epsilons = grid.epsilons if method in _TUBE_METHODS else (None,)
     sigmas = (grid.sigmas if method in _V_METHODS and wcfg.g_kind == "gaussian"
@@ -229,7 +228,7 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
                                     sigma=sigma, fold=fold_id)
                         try:
                             model = _fit_cell(method, train, K, gamma, epsilon,
-                                              weights, vmat, solver)
+                                              weights, vmat)
                             pred = decide(_score_with_cross(model, cross))
                             cell["acc"] = accuracy(y_val, pred)
                             cell["vac"] = (vac(y_val, pred, v_val)
@@ -313,9 +312,8 @@ def rows_to_csv(rows, path, header_comment: str = "") -> None:
 
 
 def fit_full(data: Dataset, method: str, params: dict, kernel_kind: str = "rbf",
-             wcfg: WeightConfig = WeightConfig(), solver: dict | None = None):
+             wcfg: WeightConfig = WeightConfig()):
     """Fit one method on the whole dataset with explicit cell parameters."""
-    solver = solver or {}
     kspec = _kernel_spec(kernel_kind, params.get("delta"))
     K = gram(kspec, data.features)
     weights = vmat = None
@@ -325,4 +323,4 @@ def fit_full(data: Dataset, method: str, params: dict, kernel_kind: str = "rbf",
     elif method == "vsvm":
         vmat = wcfg.vmatrix_for(data.features, data.features, sigma)
     return _fit_cell(method, data, K, params["gamma"], params.get("epsilon"),
-                     weights, vmat, solver)
+                     weights, vmat)

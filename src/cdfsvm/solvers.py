@@ -96,7 +96,6 @@ class SolverConfig:
     epsilon: float = 0.0
     tolerance: float = 1e-4
     max_iter: int = 100_000
-    debug_checks: bool = False
 
     def __post_init__(self):
         if not self.gamma > 0.0:
@@ -119,7 +118,6 @@ class PairwiseResult:
     converged: bool
     iterations: int
     violation: float
-    trace: list | None = None
 
 
 def _pair_argmax(t0, s, t_lo, t_hi, ei, ej, g0, eta):
@@ -181,8 +179,8 @@ _MASK = 1e100  # additive penalty hiding bound-pinned directions from argmax
 _TAU = 1e-12  # curvature floor for the selection when rows coincide (eta_ij = 0)
 
 
-def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4, max_iter=100_000,
-                    debug_checks=False, collect_trace=False) -> PairwiseResult:
+def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
+                    max_iter=100_000) -> PairwiseResult:
     m = target.size
     r = np.array(target, dtype=float)  # target - K@beta, kept incrementally
     edge = 1e-12 * np.maximum(hi - lo, 1.0)
@@ -212,7 +210,6 @@ def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4, max_iter=100_000,
     half_tau = np.full(m, 0.5 * _TAU)
     add, subtract, multiply, divide, maximum = (
         np.add, np.subtract, np.multiply, np.divide, np.maximum)
-    trace: list | None = [] if collect_trace else None
 
     converged = False
     violation = np.inf
@@ -263,19 +260,11 @@ def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4, max_iter=100_000,
             e = eps_l[idx]
             up_off[idx] = (-e if b >= 0.0 else e) - (_MASK if b >= hi_edge_l[idx] else 0.0)
             dn_off[idx] = (e if b > 0.0 else -e) - (_MASK if b <= lo_edge_l[idx] else 0.0)
-        if collect_trace:
-            trace.append(gain)
-        if debug_checks and iterations % 64 == 0:
-            beta_a = np.array(beta)
-            scale = max(1.0, float(np.abs(beta_a).max()))
-            assert abs(float(beta_a.sum())) < 1e-8 * scale
-            assert np.all(beta_a <= hi + 1e-9) and np.all(beta_a >= lo - 1e-9)
 
     beta = np.array(beta)
     bias = _recover_bias(beta, target - r, target, eps, lo, hi, edge)
     return PairwiseResult(beta=beta, bias=bias, converged=converged,
-                          iterations=iterations, violation=float(violation),
-                          trace=trace)
+                          iterations=iterations, violation=float(violation))
 
 
 def dual_objective(beta, target, epsilon, K) -> float:
@@ -417,7 +406,6 @@ def _fit_weighted_tube(data: Dataset, K: GramMatrix, v: VWeights, cfg: SolverCon
     res = _solve_pairwise(
         K.values, data.labels.astype(float), np.full(data.m, cfg.epsilon),
         -caps, caps, tolerance=cfg.tolerance, max_iter=cfg.max_iter,
-        debug_checks=cfg.debug_checks,
     )
     return DualModel(
         coefficients=res.beta, bias=res.bias, support=data.features,
@@ -459,7 +447,6 @@ def fit_csvm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> DualModel:
     res = _solve_pairwise(
         K.values, z, np.zeros(data.m), lo, hi,
         tolerance=cfg.tolerance, max_iter=cfg.max_iter,
-        debug_checks=cfg.debug_checks,
     )
     return DualModel(
         coefficients=res.beta, bias=res.bias, support=data.features,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ def test_fit_separable_perfect_report(tmp_path, capsys):
     model_file = out_dir / "model-eps-l1vsvm.json"
     payload = json.loads(model_file.read_text())
     assert payload["format"] == "cdfsvm-model"
+
+
+def test_fit_report_names_every_option(tmp_path):
+    csv_path = tmp_path / "toy.csv"
+    make_toy_csv(csv_path, seed=4)
+    out_dir = tmp_path / "run"
+    assert run_cli("fit", "--dataset", csv_path, "--method", "lssvm",
+                   "--out-dir", out_dir) == 0
+    first = (out_dir / "report-lssvm.csv").read_text().splitlines()[0]
+    named = re.findall(r"(?:^# | )(\w+)=", first)
+    assert named == [key for key in cli._defaults("fit") if key != "out_dir"]
 
 
 def test_fit_point_mass_weights_match_unweighted(tmp_path):

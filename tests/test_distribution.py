@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import midpoint_quadrature
@@ -240,25 +242,62 @@ def one_piece_empirical(X, refs, sigma):
     }
 
 
-@pytest.mark.parametrize("block", [50, 500])
-def test_empirical_weights_chunked_bit_identical(monkeypatch, block):
-    # with block=500 the 53 samples span 14 blocks of 4; with block=50,
-    # below N*d, each sample is its own block
+def test_empirical_weights_bit_identical():
+    # numpy sums fewer than 8 terms in order, so at d=3 every kernel matches
+    # the one-piece formulas exactly; at d=10 the step kernels still do and
+    # gaussian sums may differ in the last bit
     rng = np.random.default_rng(17)
-    X = rng.random((53, 3))
-    refs = rng.random((37, 3))
-    mu = MeasureSpec.empirical(refs)
-    single = one_piece_empirical(X[7:8], refs, 0.4)
-    monkeypatch.setattr(distribution, "_BLOCK", block)
-    for (combine, kind), W in one_piece_empirical(X, refs, 0.4).items():
-        g = STEP if kind == "step" else GAUSS(0.4)
-        got = v_vector(X, g, mu, combine=combine, normalize=False).values
-        assert np.array_equal(got, W.mean(axis=0)), (combine, kind)
-        assert v_empirical(mu, g, X[7], combine) == single[combine, kind].mean(axis=0)[0]
-        if combine == "product":
-            W = W.astype(float)
-            assert np.array_equal(v_matrix(X, g, mu).values,
-                                  distribution._mirror((W.T @ W) / 37)), kind
+    for d in (3, 10):
+        X = rng.random((53, d))
+        refs = rng.random((37, d))
+        mu = MeasureSpec.empirical(refs)
+        single = one_piece_empirical(X[7:8], refs, 0.4)
+        for (combine, kind), W in one_piece_empirical(X, refs, 0.4).items():
+            g = STEP if kind == "step" else GAUSS(0.4)
+            got = v_vector(X, g, mu, combine=combine, normalize=False).values
+            if d == 10 and kind == "gaussian":
+                assert np.allclose(got, W.mean(axis=0), rtol=1e-15, atol=0.0)
+                continue
+            assert np.array_equal(got, W.mean(axis=0)), (d, combine, kind)
+            assert (v_empirical(mu, g, X[7], combine)
+                    == single[combine, kind].mean(axis=0)[0]), (d, combine, kind)
+            if combine == "product":
+                W = W.astype(float)
+                assert np.array_equal(v_matrix(X, g, mu).values,
+                                      distribution._mirror((W.T @ W) / 37)), (d, kind)
+
+
+@pytest.mark.parametrize("combine", ["product", "additive"])
+@pytest.mark.parametrize("kind", ["step", "gaussian"])
+def test_empirical_weights_memory_grows_as_n_times_t(kind, combine):
+    # the one-piece formulas hold N*t*d = 10 N*t numbers; accumulating one
+    # dimension at a time holds the output and one scratch array
+    N, t, d = 400, 300, 10
+    rng = np.random.default_rng(18)
+    X = rng.random((t, d))
+    mu = MeasureSpec.empirical(rng.random((N, d)))
+    g = STEP if kind == "step" else GAUSS(0.4)
+    tracemalloc.start()
+    try:
+        v_vector(X, g, mu, combine=combine, normalize=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * N * t * 8
+
+
+@pytest.mark.parametrize("mu", [MeasureSpec.unit_box(1), MeasureSpec.unit_box(3),
+                                MeasureSpec.gaussian([0.5], [0.2]),
+                                MeasureSpec.gaussian([0.5] * 3, [0.2] * 3),
+                                MeasureSpec.empirical(np.zeros((5, 3)))],
+                         ids=["box1", "box3", "gauss1", "gauss3", "empirical3"])
+@pytest.mark.parametrize("g", [STEP, GAUSS(0.5)], ids=["step", "gaussian"])
+def test_measure_dimension_must_match_samples(mu, g):
+    X = np.random.default_rng(19).random((4, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        v_vector(X, g, mu, normalize=False)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        v_matrix(X, g, mu)
 
 
 def test_v_matrix_point_mass_is_identity():

@@ -1,0 +1,62 @@
+"""The benchmark's tracer patches package globals and reads the engine's
+result; these tests fail when a package change removes one of its hooks,
+before a benchmark run would."""
+
+import pathlib
+
+import numpy as np
+
+import cdfsvm.solvers as solvers
+from cdfsvm.core import Dataset, KernelSpec, normalize
+from cdfsvm.kernels import gram
+from cdfsvm.solvers import SolverConfig
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    # compiled from source, so nothing is written under perfbench/
+    namespace = {"__name__": "perfbench_tracer", "__file__": str(TRACER)}
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), namespace)
+    return namespace
+
+
+def three_points():
+    feats, scaler = normalize(np.array([[0.0, 0.1], [0.4, 0.9], [1.0, 0.3]]))
+    return Dataset(feats, np.array([0, 1, 1]), scaler)
+
+
+def test_engine_result_carries_iterations_and_convergence():
+    data = three_points()
+    K = gram(KernelSpec.linear(), data.features).values
+    caps = np.full(3, 2.0)
+    res = solvers._solve_pairwise(K, data.labels.astype(float), np.full(3, 0.1),
+                                  -caps, caps)
+    assert res.converged is True
+    assert isinstance(res.iterations, int) and res.iterations >= 1
+
+
+def test_tracer_patches_install_and_restore():
+    tracer = load_tracer()
+    targets = {(module, attr) for module, attr, _ in tracer["SPAN_TARGETS"]}
+    originals = {key: getattr(*key) for key in targets}
+    patches = tracer["Patches"]()
+    counters, spans = tracer["FitCounters"](), tracer["Tracer"]()
+    try:
+        counters.install(patches)
+        spans.install(patches)
+        assert all(getattr(*key) is not originals[key] for key in targets)
+        data = three_points()
+        modelsel = tracer["modelsel"]
+        K = modelsel.gram(KernelSpec.linear(), data.features)
+        model = modelsel.fit_eps_l1_svm(data, K, SolverConfig(gamma=2.0, epsilon=0.1))
+    finally:
+        patches.restore()
+    assert all(getattr(*key) is originals[key] for key in targets)
+    assert counters.fits == 1 and counters.nonconverged == 0 and model.converged
+    engine = [s for s in spans.spans if s["name"] == "solvers.engine"]
+    assert len(engine) == 1 and engine[0]["converged"] is True
+    metrics = tracer["layer_metrics"](spans.spans)
+    assert metrics["solvers.engine_calls"] == (1, "count")
+    assert metrics["solvers.engine_iters"] == (engine[0]["iterations"], "count")
+    assert metrics["solvers.fit_ms_p50.eps-l1svm"][0] > 0.0

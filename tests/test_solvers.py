@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import qp_reference, random_instance
 
+from cdfsvm import solvers
 from cdfsvm.core import Dataset, GKernelSpec, KernelSpec, Scaler, normalize, subset
 from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d
 from cdfsvm.distribution import MeasureSpec, VMatrix, VWeights, v_matrix
@@ -153,16 +156,6 @@ def test_convergence_flag_on_iteration_cap():
     assert full.converged
 
 
-def test_debug_checks_run():
-    rng = np.random.default_rng(24)
-    X = rng.random((40, 2))
-    labels = (X[:, 1] > 0.4).astype(int)
-    data = make_dataset(X, labels)
-    K = gram(KernelSpec.rbf(0.5), data.features)
-    fit_eps_l1_svm(data, K, SolverConfig(gamma=8.0, epsilon=0.125,
-                                         debug_checks=True))
-
-
 # ---------------------------------------------------------------------------
 # KKT structure
 
@@ -180,18 +173,33 @@ def test_kkt_structure_random_fits():
         assert np.all(np.abs(coef[inside]) <= 1e-9)
 
 
-def test_monotone_ascent():
+def test_monotone_ascent(monkeypatch):
     rng = np.random.default_rng(26)
     X = rng.random((25, 2))
     labels = (X.sum(axis=1) > 1.0).astype(int)
     data = make_dataset(X, labels)
     K = gram(KernelSpec.rbf(0.5), data.features)
-    res = _solve_pairwise(K.values, data.labels.astype(float),
-                          np.full(25, 0.125), -np.full(25, 4.0), np.full(25, 4.0),
-                          tolerance=1e-8, max_iter=100_000, collect_trace=True)
+    target = data.labels.astype(float)
+    gains = []
+    pair_argmax = solvers._pair_argmax
+
+    def recorded(*args):
+        t_new, gain = pair_argmax(*args)
+        gains.append(gain)
+        return t_new, gain
+
+    # the engine looks the pair step up as a module global on every step
+    monkeypatch.setattr(solvers, "_pair_argmax", recorded)
+    res = _solve_pairwise(K.values, target, np.full(25, 0.125),
+                          -np.full(25, 4.0), np.full(25, 4.0),
+                          tolerance=1e-8, max_iter=100_000)
     assert res.converged
-    gains = np.asarray(res.trace)
-    assert np.all(gains > 0.0)  # every pair update strictly increases the dual
+    # the last iteration only finds the KKT gap closed; each earlier one steps
+    assert len(gains) == res.iterations - 1
+    assert np.all(np.asarray(gains) > 0.0)  # every pair update strictly increases the dual
+    # the dual is 0 at beta = 0, so the recorded gains sum to its final value
+    assert math.fsum(gains) == pytest.approx(
+        dual_objective(res.beta, target, 0.125, K.values), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
