@@ -242,6 +242,23 @@ def one_piece_empirical(X, refs, sigma):
     }
 
 
+@pytest.mark.parametrize("block", [50, 500])
+def test_empirical_weights_chunked_bit_identical(block):
+    # the kernel matrix built from batches of at most block // (N*d) samples
+    # (4 at block=500, so 14 batches; 1 at block=50) equals, column for
+    # column and bit for bit, the one-piece formulas on all samples
+    rng = np.random.default_rng(17)
+    X = rng.random((53, 3))
+    refs = rng.random((37, 3))
+    rows = max(1, block // refs.size)
+    for (combine, kind), W in one_piece_empirical(X, refs, 0.4).items():
+        g = STEP if kind == "step" else GAUSS(0.4)
+        got = np.concatenate([
+            distribution._empirical_kernel(X[i:i + rows], g, refs, combine)
+            for i in range(0, len(X), rows)], axis=1)
+        assert np.array_equal(got, W), (combine, kind)
+
+
 def test_empirical_weights_bit_identical():
     # numpy sums fewer than 8 terms in order, so at d=3 every kernel matches
     # the one-piece formulas exactly; at d=10 the step kernels still do and
