@@ -75,7 +75,7 @@ def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
     Returns {(method, indicator): BoundaryColumn}. The pseudo-method
     "bayes" reports the analytic optimal line each repetition (distance 0
     by construction). A method's column is abandoned, not the whole run,
-    after ``max_failures`` consecutive-round failures.
+    after ``max_failures`` failed rounds.
     """
     base = spec or GaussianSpec2D(n=n)
     if base.n != n:

@@ -152,9 +152,13 @@ def to_internal_labels(values, positive_label=None) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Normalized feature matrix with binary labels and scaling provenance."""
+    """Normalized feature matrix with binary labels and scaling provenance.
+
+    Instances compare and hash by identity, so per-dataset work can be
+    memoized on them.
+    """
 
     features: np.ndarray
     labels: np.ndarray

@@ -174,9 +174,13 @@ class VWeights:
         return cls(np.ones(m), "product", GKernelSpec.step(), MeasureSpec.point_mass())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VMatrix:
-    """Pairwise distribution weights V_ij = int G(x-x_i) G(x-x_j) dmu(x)."""
+    """Pairwise distribution weights V_ij = int G(x-x_i) G(x-x_j) dmu(x).
+
+    Instances compare and hash by identity, so products with V can be
+    memoized on them.
+    """
 
     values: np.ndarray
     g_spec: GKernelSpec

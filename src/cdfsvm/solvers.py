@@ -37,6 +37,7 @@ All fitted models expose scores f(x) = scale * (sum_i a_i K(x_i, x) + b)
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -459,6 +460,26 @@ def fit_csvm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> DualModel:
 # ---------------------------------------------------------------------------
 # closed-form fits
 
+# Work that does not depend on gamma is done once per input object and
+# reused along a gamma grid: V K per (V, K) pair and the density weights per
+# (training set, k). The memos are keyed by identity (VMatrix and Dataset
+# compare by identity and hold read-only arrays), and an entry dies with the
+# VMatrix or Dataset it was built from; the V K entry holds only a weak
+# reference to its GramMatrix.
+_VK_MEMO = weakref.WeakKeyDictionary()
+_RHO_MEMO = weakref.WeakKeyDictionary()
+
+
+def _vk_product(V: VMatrix, K: GramMatrix) -> np.ndarray:
+    """Read-only V K, computed once per (V, K) pair."""
+    entry = _VK_MEMO.get(V)
+    if entry is None or entry[0]() is not K:
+        VK = V.values @ K.values
+        VK.setflags(write=False)
+        entry = _VK_MEMO[V] = (weakref.ref(K), VK)
+    return entry[1]
+
+
 def _fit_closed_form(data: Dataset, K: GramMatrix, gamma: float, method: str,
                      V: VMatrix | None = None, rho: np.ndarray | None = None
                      ) -> ClosedFormModel:
@@ -486,7 +507,7 @@ def _fit_closed_form(data: Dataset, K: GramMatrix, gamma: float, method: str,
     else:
         if V.values.shape != (m, m):
             raise ValueError("V-matrix does not match the dataset")
-        M = V.values @ K.values
+        M = _vk_product(V, K).copy()
         M.flat[::m + 1] += gamma
         # one product, so constant labels give bit-identical columns and A = 0
         rhs = V.values @ rhs
@@ -554,7 +575,12 @@ def _density_weights(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 def fit_idlssvm(data: Dataset, K: GramMatrix, gamma: float, k: int = 5) -> ClosedFormModel:
     """Density-weighted least-squares fit: (K + diag(1/(gamma*rho))) a + b1 = Y."""
-    rho = _density_weights(data.features, data.labels, k)
+    by_k = _RHO_MEMO.setdefault(data, {})
+    rho = by_k.get(k)
+    if rho is None:
+        rho = _density_weights(data.features, data.labels, k)
+        rho.setflags(write=False)
+        by_k[k] = rho
     return _fit_closed_form(data, K, gamma, "idlssvm", rho=rho)
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from cdfsvm import bench
 from cdfsvm.bench import (bayes_table_text, run_bayes_benchmark,
                           run_uci_benchmark, total_variation, uci_table_text,
                           write_bayes_csv, write_uci_csv)
 from cdfsvm.core import Dataset, normalize
 from cdfsvm.modelsel import GridSpec, WeightConfig
+from cdfsvm.solvers import SolverError
 
 
 def tiny_grid(**kw):
@@ -50,6 +52,31 @@ def test_bayes_benchmark_both_indicators_share_fits():
     assert len(cols[("lssvm", "vac")].ks) == 2
     text = bayes_table_text(cols)
     assert "lssvm" in text and "Dist" in text
+
+
+def test_bayes_column_aborts_after_max_failures_failed_rounds(monkeypatch):
+    # idlssvm fails on rounds 0, 2 and 4 with successes in between; the
+    # failure count is never reset, so the third failure abandons the column
+    calls = []
+    real_cv_table = bench.cv_table
+
+    def flaky_cv_table(data, method, grid, **kw):
+        rep = grid.seed - 5
+        calls.append((method, rep))
+        if method == "idlssvm" and rep in (0, 2, 4):
+            raise SolverError(f"injected failure in round {rep}")
+        return real_cv_table(data, method, grid, **kw)
+
+    monkeypatch.setattr(bench, "cv_table", flaky_cv_table)
+    cols = run_bayes_benchmark(n=40, repetitions=6, methods=("lssvm", "idlssvm"),
+                               grid=tiny_grid(), indicators=("acc",), seed=5,
+                               max_failures=3)
+    failing, other = cols[("idlssvm", "acc")], cols[("lssvm", "acc")]
+    assert failing.failures == 3 and failing.aborted
+    assert len(failing.ks) == 2  # rounds 1 and 3
+    assert [rep for method, rep in calls if method == "idlssvm"] == [0, 1, 2, 3, 4]
+    assert [rep for method, rep in calls if method == "lssvm"] == list(range(6))
+    assert other.failures == 0 and not other.aborted and len(other.ks) == 6
 
 
 def test_bayes_csv_audit_lines(tmp_path):

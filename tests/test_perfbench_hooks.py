@@ -9,6 +9,7 @@ import numpy as np
 import cdfsvm.solvers as solvers
 from cdfsvm.core import Dataset, KernelSpec, normalize
 from cdfsvm.kernels import gram
+from cdfsvm.modelsel import METHODS, GridSpec
 from cdfsvm.solvers import SolverConfig
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -60,3 +61,40 @@ def test_tracer_patches_install_and_restore():
     assert metrics["solvers.engine_calls"] == (1, "count")
     assert metrics["solvers.engine_iters"] == (engine[0]["iterations"], "count")
     assert metrics["solvers.fit_ms_p50.eps-l1svm"][0] > 0.0
+
+
+def test_cv_table_makes_one_counted_fit_per_row():
+    # the benchmark counts one public fit_* call per (cell, fold) row and
+    # divides ok_frac by that count; every model must report its convergence
+    tracer = load_tracer()
+    modelsel = tracer["modelsel"]
+    rng = np.random.default_rng(3)
+    feats, scaler = normalize(np.vstack([rng.normal(0.35, 0.15, (15, 2)),
+                                         rng.normal(0.65, 0.15, (15, 2))]))
+    data = Dataset(feats, np.repeat([0, 1], 15), scaler)
+    grid = GridSpec(gammas=(0.5, 8.0), deltas=(1.0,), epsilons=(0.25,),
+                    sigmas=(0.5, 2.0), folds=2)
+    patches = tracer["Patches"]()
+    counters = tracer["FitCounters"]()
+    models = []
+
+    def keep_model(fn):
+        def kept(*args, **kwargs):
+            model = fn(*args, **kwargs)
+            models.append(model)
+            return model
+        return kept
+
+    try:
+        counters.install(patches)
+        for fn in tracer["FIT_FUNCTIONS"]:
+            patches.replace(modelsel, fn, keep_model)
+        for method in METHODS:
+            modelsel.cv_table(data, method, grid)
+    finally:
+        patches.restore()
+    assert counters.cv_rows > 0
+    assert counters.fits == counters.cv_rows
+    assert counters.raised == 0 and len(models) == counters.fits
+    assert {model.method for model in models} == set(METHODS)
+    assert all(type(model.converged) is bool for model in models)

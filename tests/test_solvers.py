@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -543,6 +545,90 @@ def test_vsvm_offset_guard_zero_weights():
     V = VMatrix(np.zeros((6, 6)), GKernelSpec.step(), MeasureSpec.point_mass())
     with pytest.raises(SingularSystemError, match="offset denominator vanishes"):
         fit_vsvm(data, K, V, gamma=1.0)
+
+
+# ---------------------------------------------------------------------------
+# gamma-independent work (V K, density weights) reused along a gamma path
+
+GAMMA_PATH = (2.0**-6, 0.25, 1.0, 4.0, 64.0, 2.0**8)
+
+
+def memo_case(seed, m=30, delta=0.8):
+    """A fresh Dataset, GramMatrix and VMatrix; equal seeds give equal values."""
+    rng = np.random.default_rng(seed)
+    data = make_dataset(rng.random((m, 3)), rng.permutation(np.arange(m) % 2))
+    K = gram(KernelSpec.rbf(delta), data.features)
+    V = v_matrix(data.features, GKernelSpec.gaussian(0.5),
+                 MeasureSpec.empirical(data.features))
+    return data, K, V
+
+
+def assert_bit_identical(fits, fresh_fits):
+    for a, b in zip(fits, fresh_fits, strict=True):
+        assert a.method == b.method
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert a.offset == b.offset
+
+
+def closed_form_fits(data, K, V, gamma):
+    return fit_vsvm(data, K, V, gamma), fit_idlssvm(data, K, gamma)
+
+
+def test_memoized_fits_match_fresh_inputs_along_gamma_path(monkeypatch):
+    data, K, V = memo_case(50)
+    calls = []
+
+    def counted_density_weights(*args):
+        calls.append(args)
+        return _density_weights(*args)
+
+    monkeypatch.setattr(solvers, "_density_weights", counted_density_weights)
+    for gamma in GAMMA_PATH:
+        assert_bit_identical(closed_form_fits(data, K, V, gamma),
+                             closed_form_fits(*memo_case(50), gamma))
+        if gamma == GAMMA_PATH[0]:
+            vk = solvers._VK_MEMO[V][1]
+        assert solvers._VK_MEMO[V][1] is vk
+    # once per Dataset: the reused one plus one fresh one per gamma
+    assert len(calls) == 1 + len(GAMMA_PATH)
+    assert not vk.flags.writeable
+    assert not solvers._RHO_MEMO[data][5].flags.writeable
+
+
+def test_memo_never_serves_another_folds_work():
+    # two folds of the same shape, alternated gamma by gamma
+    folds = [memo_case(seed) for seed in (51, 52)]
+    for gamma in GAMMA_PATH:
+        for seed, (data, K, V) in zip((51, 52), folds):
+            assert_bit_identical(closed_form_fits(data, K, V, gamma),
+                                 closed_form_fits(*memo_case(seed), gamma))
+    # one V against two Gram matrices of its fold, alternated
+    data, K, V = folds[0]
+    K_wide = gram(KernelSpec.rbf(2.0), data.features)
+    for gamma in GAMMA_PATH[:3]:
+        for kernel, delta in ((K, 0.8), (K_wide, 2.0)):
+            fresh_data, fresh_K, fresh_V = memo_case(51, delta=delta)
+            assert_bit_identical([fit_vsvm(data, kernel, V, gamma)],
+                                 [fit_vsvm(fresh_data, fresh_K, fresh_V, gamma)])
+    # k is part of the density-weight key
+    assert_bit_identical([fit_idlssvm(data, K, 1.0, k=3)],
+                         [fit_idlssvm(memo_case(51)[0], K, 1.0, k=3)])
+    assert set(solvers._RHO_MEMO[data]) == {3, 5}
+
+
+def test_memo_entries_die_with_their_inputs():
+    data, K, V = memo_case(53)
+    closed_form_fits(data, K, V, 1.0)
+    vk = weakref.ref(solvers._VK_MEMO[V][1])
+    rho = weakref.ref(solvers._RHO_MEMO[data][5])
+    # the V K entry holds its Gram matrix weakly
+    K_ref = weakref.ref(K)
+    del K
+    gc.collect()
+    assert K_ref() is None and vk() is not None
+    del V, data
+    gc.collect()
+    assert vk() is None and rho() is None
 
 
 def guard_case(method, seed):
