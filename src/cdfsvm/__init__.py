@@ -22,9 +22,9 @@ from .evaluation import (BoundaryLine, EvalReport, accuracy,
 from .kernels import GramMatrix, cross_gram, g_eval, gram, k_eval
 from .modelsel import (GridSpec, METHODS, WeightConfig, cv_table, fit_full,
                        grid_search, kfold_split, select_best)
-from .solvers import (ClosedFormModel, DualModel, SingularSystemError,
-                      SolverConfig, SolverError, dual_objective, fit_csvm,
-                      fit_eps_l1_svm, fit_eps_l1_vsvm, fit_idlssvm, fit_lssvm,
-                      fit_vsvm, load_model, predict, save_model)
+from .solvers import (KernelModel, SingularSystemError, SolverConfig,
+                      SolverError, dual_objective, fit_csvm, fit_eps_l1_svm,
+                      fit_eps_l1_vsvm, fit_idlssvm, fit_lssvm, fit_vsvm,
+                      load_model, predict, save_model)
 
 __version__ = "0.1.0"

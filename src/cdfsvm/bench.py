@@ -68,7 +68,6 @@ class BoundaryColumn:
 def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
                         wcfg: WeightConfig = WeightConfig(),
                         indicators=("acc",), seed: int = 0,
-                        spec: GaussianSpec2D | None = None,
                         max_failures: int = 3) -> dict:
     """Repeated sample/tune/fit rounds on the 2-D generator.
 
@@ -77,9 +76,7 @@ def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
     by construction). A method's column is abandoned, not the whole run,
     after ``max_failures`` failed rounds.
     """
-    base = spec or GaussianSpec2D(n=n)
-    if base.n != n:
-        base = replace(base, n=n)
+    base = GaussianSpec2D(n=n)
     reference = bayes_boundary_2d(base)
     columns = {(method, ind): BoundaryColumn(method, ind)
                for method in methods for ind in indicators}
@@ -129,8 +126,7 @@ def bayes_table_text(columns: dict, k0: float = 2.0, q0: float = 0.0) -> str:
                          "q_mean±std"), lines)
 
 
-def write_bayes_csv(columns: dict, path, header_comment: str = "",
-                    k0: float = 2.0, q0: float = 0.0) -> None:
+def write_bayes_csv(columns: dict, path, header_comment: str = "") -> None:
     """Summary plus the per-repetition (k, q) pairs, for audit."""
     write_csv(path, ["method", "indicator", "repetition", "k", "q"],
               ([method, ind, rep, repr(k), repr(q)]

@@ -124,37 +124,33 @@ def _cmd_synth(ns) -> int:
 
 
 def _split_train_test(data, ns):
-    """(train, test, test indices in data); the indices are None when the
-    test rows come from a separate file."""
+    """(train, test): a stratified split of data, or all of data and the
+    rows of the separate test file."""
     if ns.test_file:
         test = load_csv(ns.test_file, label_column=ns.label_column,
                         positive_label=ns.positive_label or None,
                         scaler=data.scaler)
-        return data, test, None
+        return data, test
     if not 0.0 < ns.train_frac < 1.0:
         raise ValueError("train_frac must lie strictly between 0 and 1")
     folds = max(2, round(1.0 / (1.0 - ns.train_frac)))
     train_idx, test_idx = kfold_split(data.m, folds, ns.seed, labels=data.labels)[0]
-    return subset(data, train_idx), subset(data, test_idx), test_idx
+    return subset(data, train_idx), subset(data, test_idx)
 
 
 def _cmd_fit(ns) -> int:
     data = load_csv(ns.dataset, label_column=ns.label_column,
                     positive_label=ns.positive_label or None)
-    train, test, test_idx = _split_train_test(data, ns)
+    train, test = _split_train_test(data, ns)
     wcfg = _weight_config(ns)
     params = dict(gamma=ns.gamma, delta=ns.delta, epsilon=ns.epsilon,
                   sigma=ns.sigma)
     model = fit_full(train, ns.method, params, ns.kernel, wcfg)
     pred = decide(predict(model, test.features))
-    # test rows keep their position in the full sample only for the split
-    # path; with an external test file their weights are computed directly
-    # against the combined reference sample
-    if test_idx is None:
-        refs = np.vstack([train.features, test.features])
-        v_t = wcfg.weights_for(test.features, refs).values
-    else:
-        v_t = wcfg.weights_for(data.features, data.features).values[test_idx]
+    # weights are normalized over the whole sample, train and test rows, as
+    # in cross-validation
+    refs = np.vstack([train.features, test.features])
+    v_t = wcfg.weights_for(refs, refs).values[train.m:]
     v_provenance = f"g={ns.g_kernel} mu={ns.mu} sigma_eval={ns.sigma_eval}"
     if np.any(v_t <= 0.0):
         # vanishing step-kernel weights: Vac is undefined, report plain Acc

@@ -30,15 +30,17 @@ solve: the offset comes from two right-hand sides as in Suykens &
 Vandewalle (1999), and a third, probe column gives a one-solve condition
 estimate in the spirit of Higham's (ACM TOMS 14, 1988), one guard for all.
 
-All fitted models expose scores f(x) = scale * (sum_i a_i K(x_i, x) + b)
-+ shift so a single 0.5-threshold decision rule applies everywhere.
+Every fit returns one ``KernelModel`` with scores f(x) = scale * (sum_i
+a_i K(x_i, x) + b) + shift, so a single 0.5-threshold decision rule
+applies everywhere; the dual fits also keep their box caps and epsilon.
+``save_model`` writes it as a version-2 JSON document.
 """
 
 from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,8 +49,7 @@ from .distribution import VMatrix, VWeights
 from .kernels import GramMatrix, cross_gram
 
 __all__ = [
-    "ClosedFormModel",
-    "DualModel",
+    "KernelModel",
     "SingularSystemError",
     "SolverConfig",
     "SolverError",
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "cdfsvm-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class SolverError(RuntimeError):
@@ -277,50 +278,52 @@ def dual_objective(beta, target, epsilon, K) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fitted-model containers
+# the fitted model
 
 @dataclass(frozen=True)
-class DualModel:
-    """Support-coefficient model a_i = alpha*_i - alpha_i with bias.
+class KernelModel:
+    """Kernel expansion f(x) = scale * (sum_i a_i K(x_i, x) + intercept) + shift.
 
-    Feasibility (|a_i| <= cap_i), the zero-sum constraint, and pairwise
-    complementarity min(alpha_i, alpha*_i) = 0 are validated on construction.
+    Every fit returns one. The dual-QP fits also keep their box caps and tube
+    epsilon, and construction then checks feasibility (|a_i| <= cap_i) and
+    the zero-sum constraint; closed-form fits leave both None. Coefficients
+    and intercept must be finite.
     """
 
     coefficients: np.ndarray
-    bias: float
+    intercept: float
     support: np.ndarray
     kernel: KernelSpec
-    caps: np.ndarray
-    epsilon: float
     scaler: Scaler
     method: str
     converged: bool = True
     score_scale: float = 1.0
     score_shift: float = 0.0
     v_provenance: dict | None = None
+    caps: np.ndarray | None = None
+    epsilon: float | None = None
 
     def __post_init__(self):
-        coef = np.array(self.coefficients, dtype=float)
-        caps = np.array(self.caps, dtype=float)
-        support = np.array(self.support, dtype=float)
+        arrays = dict(coefficients=np.array(self.coefficients, dtype=float),
+                      support=np.array(self.support, dtype=float))
+        coef, support = arrays["coefficients"], arrays["support"]
         if coef.ndim != 1 or support.ndim != 2 or coef.size != support.shape[0]:
             raise ValueError("coefficient/support shape mismatch")
-        if caps.shape != coef.shape:
-            raise ValueError("caps must match coefficients")
-        if np.any(np.abs(coef) > caps + 1e-9):
-            raise ValueError("box feasibility violated: |a_i| > gamma*v_i")
-        if abs(float(coef.sum())) > 1e-8:
-            raise ValueError("equality constraint violated: sum a_i != 0")
-        alpha = np.maximum(-coef, 0.0)
-        alpha_star = np.maximum(coef, 0.0)
-        if np.any(np.minimum(alpha, alpha_star) != 0.0):
-            raise ValueError("complementary sparsity violated")
-        for arr in (coef, caps, support):
+        intercept = float(self.intercept)
+        if not (np.all(np.isfinite(coef)) and np.isfinite(intercept)):
+            raise ValueError("non-finite coefficients or intercept")
+        if self.caps is not None:
+            caps = arrays["caps"] = np.array(self.caps, dtype=float)
+            if caps.shape != coef.shape:
+                raise ValueError("caps must match coefficients")
+            if np.any(np.abs(coef) > caps + 1e-9):
+                raise ValueError("box feasibility violated: |a_i| > gamma*v_i")
+            if abs(float(coef.sum())) > 1e-8:
+                raise ValueError("equality constraint violated: sum a_i != 0")
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "support", support)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "intercept", intercept)
 
     @property
     def alpha(self) -> np.ndarray:
@@ -330,56 +333,18 @@ class DualModel:
     def alpha_star(self) -> np.ndarray:
         return np.maximum(self.coefficients, 0.0)
 
-    @property
-    def intercept(self) -> float:
-        return self.bias
 
-
-@dataclass(frozen=True)
-class ClosedFormModel:
-    """Coefficient vector A and offset c of a closed-form (least-squares) fit."""
-
-    coefficients: np.ndarray
-    offset: float
-    support: np.ndarray
-    kernel: KernelSpec
-    scaler: Scaler
-    method: str
-    converged: bool = True
-    score_scale: float = 1.0
-    score_shift: float = 0.0
-    v_provenance: dict | None = None
-
-    def __post_init__(self):
-        coef = np.array(self.coefficients, dtype=float)
-        support = np.array(self.support, dtype=float)
-        if coef.ndim != 1 or support.ndim != 2 or coef.size != support.shape[0]:
-            raise ValueError("coefficient/support shape mismatch")
-        if not (np.all(np.isfinite(coef)) and np.isfinite(self.offset)):
-            raise ValueError("non-finite closed-form solution")
-        for arr in (coef, support):
-            arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "support", support)
-
-    @property
-    def intercept(self) -> float:
-        return self.offset
-
-
-def predict(model, X) -> np.ndarray:
+def predict(model: KernelModel, X) -> np.ndarray:
     """Scores f(x) = scale * (sum_i a_i K(x_i, x) + intercept) + shift."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.support.shape[1]:
         raise ValueError(
             f"expected (t, {model.support.shape[1]}) inputs, got {X.shape}"
         )
-    cross = cross_gram(model.kernel, model.support, X)
-    raw = model.coefficients @ cross + model.intercept
-    return model.score_scale * raw + model.score_shift
+    return _score_with_cross(model, cross_gram(model.kernel, model.support, X))
 
 
-def _score_with_cross(model, cross: np.ndarray) -> np.ndarray:
+def _score_with_cross(model: KernelModel, cross: np.ndarray) -> np.ndarray:
     # cross must be the (m_train, t) kernel matrix for model.support
     raw = model.coefficients @ cross + model.intercept
     return model.score_scale * raw + model.score_shift
@@ -396,7 +361,7 @@ def _check_fit_inputs(data: Dataset, K: GramMatrix, require_both_classes=True):
 
 
 def _fit_weighted_tube(data: Dataset, K: GramMatrix, v: VWeights, cfg: SolverConfig,
-                       method: str, provenance: dict | None) -> DualModel:
+                       method: str, provenance: dict | None) -> KernelModel:
     _check_fit_inputs(data, K)
     vals = np.asarray(v.values, dtype=float)
     if vals.shape != (data.m,):
@@ -408,15 +373,16 @@ def _fit_weighted_tube(data: Dataset, K: GramMatrix, v: VWeights, cfg: SolverCon
         K.values, data.labels.astype(float), np.full(data.m, cfg.epsilon),
         -caps, caps, tolerance=cfg.tolerance, max_iter=cfg.max_iter,
     )
-    return DualModel(
-        coefficients=res.beta, bias=res.bias, support=data.features,
-        kernel=K.spec, caps=caps, epsilon=cfg.epsilon, scaler=data.scaler,
-        method=method, converged=res.converged, v_provenance=provenance,
+    return KernelModel(
+        coefficients=res.beta, intercept=res.bias, support=data.features,
+        kernel=K.spec, scaler=data.scaler, method=method,
+        converged=res.converged, v_provenance=provenance, caps=caps,
+        epsilon=cfg.epsilon,
     )
 
 
 def fit_eps_l1_vsvm(data: Dataset, K: GramMatrix, v: VWeights,
-                    cfg: SolverConfig) -> DualModel:
+                    cfg: SolverConfig) -> KernelModel:
     """Fit the distribution-weighted epsilon-insensitive model.
 
     Maximizes (a*-a)'Y - eps (a*+a)'1 - 0.5 (a*-a)'K(a*-a) subject to
@@ -427,13 +393,13 @@ def fit_eps_l1_vsvm(data: Dataset, K: GramMatrix, v: VWeights,
     return _fit_weighted_tube(data, K, v, cfg, "eps-l1vsvm", v.provenance())
 
 
-def fit_eps_l1_svm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> DualModel:
+def fit_eps_l1_svm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> KernelModel:
     """Unweighted epsilon-insensitive fit: the all-ones weight vector."""
     return _fit_weighted_tube(data, K, VWeights.ones(data.m), cfg,
                               "eps-l1svm", None)
 
 
-def fit_csvm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> DualModel:
+def fit_csvm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> KernelModel:
     """Classical hinge-loss SVM via the same pairwise engine.
 
     Labels are mapped to +/-1 internally; in b_i = lambda_i z_i coordinates
@@ -449,11 +415,11 @@ def fit_csvm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> DualModel:
         K.values, z, np.zeros(data.m), lo, hi,
         tolerance=cfg.tolerance, max_iter=cfg.max_iter,
     )
-    return DualModel(
-        coefficients=res.beta, bias=res.bias, support=data.features,
-        kernel=K.spec, caps=np.full(data.m, cfg.gamma), epsilon=0.0,
-        scaler=data.scaler, method="csvm", converged=res.converged,
-        score_scale=0.5, score_shift=0.5,
+    return KernelModel(
+        coefficients=res.beta, intercept=res.bias, support=data.features,
+        kernel=K.spec, scaler=data.scaler, method="csvm",
+        converged=res.converged, score_scale=0.5, score_shift=0.5,
+        caps=np.full(data.m, cfg.gamma), epsilon=0.0,
     )
 
 
@@ -482,7 +448,7 @@ def _vk_product(V: VMatrix, K: GramMatrix) -> np.ndarray:
 
 def _fit_closed_form(data: Dataset, K: GramMatrix, gamma: float, method: str,
                      V: VMatrix | None = None, rho: np.ndarray | None = None
-                     ) -> ClosedFormModel:
+                     ) -> KernelModel:
     """Solve M A = b_y - c b_1 with 1'A = 0: with V, M = VK + gamma I and
     [b_y, b_1] = V[Y, 1]; else M = K + diag(1/(gamma rho)) and [b_y, b_1] = [Y, 1].
 
@@ -532,14 +498,14 @@ def _fit_closed_form(data: Dataset, K: GramMatrix, gamma: float, method: str,
     resid = np.abs(M @ A - (rhs[:, 0] - c * rhs[:, 1])).sum()
     if not resid <= 1e-8 * (np.abs(rhs[:, 0]).sum() + abs(c) * np.abs(rhs[:, 1]).sum()):
         raise SingularSystemError("closed-form residual too large", cond)
-    return ClosedFormModel(
-        coefficients=A, offset=c, support=data.features, kernel=K.spec,
+    return KernelModel(
+        coefficients=A, intercept=c, support=data.features, kernel=K.spec,
         scaler=data.scaler, method=method,
         v_provenance=None if V is None else {"g": V.g_spec.to_dict(), "mu": V.mu.describe()},
     )
 
 
-def fit_vsvm(data: Dataset, K: GramMatrix, V: VMatrix, gamma: float) -> ClosedFormModel:
+def fit_vsvm(data: Dataset, K: GramMatrix, V: VMatrix, gamma: float) -> KernelModel:
     """Closed-form fit of the V-matrix-weighted least-squares objective.
 
         R(A, c) = (KA + c1 - Y)' V (KA + c1 - Y) + gamma A'KA
@@ -551,7 +517,7 @@ def fit_vsvm(data: Dataset, K: GramMatrix, V: VMatrix, gamma: float) -> ClosedFo
     return _fit_closed_form(data, K, gamma, "vsvm", V=V)
 
 
-def fit_lssvm(data: Dataset, K: GramMatrix, gamma: float) -> ClosedFormModel:
+def fit_lssvm(data: Dataset, K: GramMatrix, gamma: float) -> KernelModel:
     """Least-squares fit from the saddle system (K + I/gamma) a + b1 = Y, 1'a = 0."""
     return _fit_closed_form(data, K, gamma, "lssvm", rho=np.ones(data.m))
 
@@ -573,7 +539,7 @@ def _density_weights(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return rho
 
 
-def fit_idlssvm(data: Dataset, K: GramMatrix, gamma: float, k: int = 5) -> ClosedFormModel:
+def fit_idlssvm(data: Dataset, K: GramMatrix, gamma: float, k: int = 5) -> KernelModel:
     """Density-weighted least-squares fit: (K + diag(1/(gamma*rho))) a + b1 = Y."""
     by_k = _RHO_MEMO.setdefault(data, {})
     rho = by_k.get(k)
@@ -587,51 +553,41 @@ def fit_idlssvm(data: Dataset, K: GramMatrix, gamma: float, k: int = 5) -> Close
 # ---------------------------------------------------------------------------
 # serialization
 
-def save_model(model, path) -> None:
+# A model document holds every KernelModel field; these two are nested dicts.
+_SPECS = {"kernel": KernelSpec, "scaler": Scaler}
+
+
+def save_model(model: KernelModel, path) -> None:
     """Write a fitted model as a versioned JSON document."""
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "family": "dual" if isinstance(model, DualModel) else "closed_form",
-        "method": model.method,
-        "kernel": model.kernel.to_dict(),
-        "coefficients": model.coefficients.tolist(),
-        "intercept": model.intercept,
-        "support": model.support.tolist(),
-        "scaler": model.scaler.to_dict(),
-        "converged": model.converged,
-        "score_scale": model.score_scale,
-        "score_shift": model.score_shift,
-        "v_provenance": model.v_provenance,
-    }
-    if isinstance(model, DualModel):
-        payload["caps"] = model.caps.tolist()
-        payload["epsilon"] = model.epsilon
+    payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
+    for f in fields(KernelModel):
+        value = getattr(model, f.name)
+        if f.name in _SPECS:
+            value = value.to_dict()
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        payload[f.name] = value
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
 
 
-def load_model(path):
-    """Reload a model written by save_model."""
+def load_model(path) -> KernelModel:
+    """Reload a model written by save_model; ValueError if it is malformed."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')}")
-    kernel = KernelSpec.from_dict(payload["kernel"])
-    scaler = Scaler.from_dict(payload["scaler"])
-    common = dict(
-        support=np.asarray(payload["support"], dtype=float),
-        kernel=kernel, scaler=scaler, method=payload["method"],
-        converged=payload["converged"], score_scale=payload["score_scale"],
-        score_shift=payload["score_shift"], v_provenance=payload["v_provenance"],
-    )
-    coefficients = np.asarray(payload["coefficients"], dtype=float)
-    if payload["family"] == "dual":
-        return DualModel(coefficients=coefficients, bias=payload["intercept"],
-                         caps=np.asarray(payload["caps"], dtype=float),
-                         epsilon=payload["epsilon"], **common)
-    return ClosedFormModel(coefficients=coefficients, offset=payload["intercept"],
-                           **common)
+    names = [f.name for f in fields(KernelModel)]
+    missing = [name for name in names if name not in payload]
+    if missing:
+        raise ValueError(f"model document lacks {', '.join(missing)}")
+    values = {name: payload[name] for name in names}
+    try:
+        for name, spec in _SPECS.items():
+            values[name] = spec.from_dict(values[name])
+        return KernelModel(**values)
+    except (KeyError, TypeError) as exc:  # a field of the wrong shape or type
+        raise ValueError(f"malformed model document: {exc!r}") from exc

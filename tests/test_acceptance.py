@@ -97,9 +97,9 @@ def test_criterion_3_degeneracy_identities():
         weighted = fit_eps_l1_vsvm(data, K, VWeights.ones(data.m), cfg)
         plain = fit_eps_l1_svm(data, K, cfg)
         gap = float(np.abs(weighted.coefficients - plain.coefficients).max())
-        worst = max(worst, gap, abs(weighted.bias - plain.bias))
+        worst = max(worst, gap, abs(weighted.intercept - plain.intercept))
         assert gap <= 1e-8
-        assert abs(weighted.bias - plain.bias) <= 1e-8
+        assert abs(weighted.intercept - plain.intercept) <= 1e-8
     for _ in range(20):
         y_true = rng.integers(0, 2, 30)
         y_pred = rng.integers(0, 2, 30)
@@ -131,7 +131,7 @@ def test_criterion_4_closed_form_stationarity():
             r = K.values @ A + c - y
             return float(r @ (V.values @ r) + gamma * A @ (K.values @ A))
 
-        point = np.concatenate([model.coefficients, [model.offset]])
+        point = np.concatenate([model.coefficients, [model.intercept]])
         h = 1e-6
         grad = np.zeros_like(point)
         for k in range(point.size):

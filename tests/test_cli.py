@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,6 +8,10 @@ import pytest
 
 from cdfsvm import cli
 from cdfsvm.cli import main
+from cdfsvm.core import decide
+from cdfsvm.datagen import load_csv
+from cdfsvm.evaluation import vac
+from cdfsvm.solvers import load_model, predict
 
 
 def run_cli(*args):
@@ -100,6 +105,51 @@ def test_fit_with_external_test_file(tmp_path, capsys):
                    "--gamma", 4.0, "--out-dir", out_dir) == 0
     assert (out_dir / "model-eps-l1vsvm.json").exists()
     assert "1.0000" in capsys.readouterr().out  # separable either way
+
+
+def test_fit_test_file_vac_normalizes_over_whole_sample(tmp_path):
+    # the test rows' weights are divided by the maximum over train and test
+    # rows together, as cross-validation and the split path do
+    train_path, test_path = tmp_path / "train.csv", tmp_path / "test.csv"
+    assert run_cli("synth", "--n", 40, "--seed", 1, "--out", train_path) == 0
+    assert run_cli("synth", "--n", 12, "--seed", 2, "--out", test_path) == 0
+    out_dir = tmp_path / "run"
+    assert run_cli("fit", "--dataset", train_path, "--test-file", test_path,
+                   "--method", "lssvm", "--out-dir", out_dir) == 0
+    report = (out_dir / "report-lssvm.csv").read_text().splitlines()
+    header, row = report[1].split(","), report[2].split(",")
+    train = load_csv(train_path)
+    test = load_csv(test_path, scaler=train.scaler)
+    model = load_model(out_dir / "model-lssvm.json")
+    pred = decide(predict(model, test.features))
+    refs = np.vstack([train.features, test.features])
+    wcfg = cli._weight_config(argparse.Namespace(**cli._defaults("fit")))
+    v_t = wcfg.weights_for(refs, refs).values[train.m:]
+    assert float(row[header.index("vac")]) == vac(test.labels, pred, v_t)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [1, 2], "not a cdfsvm-model document"),
+    (lambda doc: {"format": "cdfsvm-model", "version": 1, "family": "dual"},
+     "unsupported model version 1"),
+    (lambda doc: {k: v for k, v in doc.items() if k not in ("coefficients", "caps")},
+     "model document lacks coefficients, caps"),
+    (lambda doc: {**doc, "kernel": {}}, "malformed model document"),
+    (lambda doc: {**doc, "scaler": [0.0]}, "malformed model document"),
+    (lambda doc: {**doc, "intercept": [0.5]}, "malformed model document"),
+], ids=["not-object", "version-1", "missing-fields", "kernel", "scaler", "intercept"])
+def test_predict_malformed_model_is_an_error(tmp_path, capsys, edit, message):
+    csv_path = tmp_path / "toy.csv"
+    make_toy_csv(csv_path, seed=9)
+    out_dir = tmp_path / "run"
+    assert run_cli("fit", "--dataset", csv_path, "--method", "lssvm",
+                   "--out-dir", out_dir) == 0
+    model_path = out_dir / "model-lssvm.json"
+    model_path.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+    assert run_cli("predict", "--model", model_path, "--dataset", csv_path,
+                   "--out", tmp_path / "pred.csv") == 2
+    assert "error: " + message in capsys.readouterr().err
+    assert not (tmp_path / "pred.csv").exists()
 
 
 def test_fit_rerun_same_seed_identical_report(tmp_path):

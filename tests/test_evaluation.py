@@ -5,7 +5,7 @@ from cdfsvm.core import KernelSpec, Scaler
 from cdfsvm.evaluation import (BoundaryLine, accuracy, boundary_from_linear,
                                confusion_counts, dist_to_bayes, evaluate,
                                format_report_table, gmean, reports_to_csv, vac)
-from cdfsvm.solvers import DualModel, predict
+from cdfsvm.solvers import KernelModel, predict
 
 
 def test_accuracy_examples():
@@ -96,9 +96,9 @@ def linear_model(w, bias, scaler=None, score_scale=1.0, score_shift=0.0):
     coef = np.array([0.5, -0.5]) / norm2
     caps = np.abs(coef) + 1.0
     scaler = scaler or Scaler(np.zeros(2), np.ones(2))
-    return DualModel(coef, bias, support, KernelSpec.linear(), caps, 0.0,
-                     scaler, "eps-l1svm", score_scale=score_scale,
-                     score_shift=score_shift)
+    return KernelModel(coef, bias, support, KernelSpec.linear(), scaler,
+                       "eps-l1svm", score_scale=score_scale,
+                       score_shift=score_shift, caps=caps, epsilon=0.0)
 
 
 def test_boundary_matches_reference_line():

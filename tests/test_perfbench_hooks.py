@@ -3,6 +3,8 @@ result; these tests fail when a package change removes one of its hooks,
 before a benchmark run would."""
 
 import pathlib
+import sys
+import types
 
 import numpy as np
 
@@ -12,14 +14,22 @@ from cdfsvm.kernels import gram
 from cdfsvm.modelsel import METHODS, GridSpec
 from cdfsvm.solvers import SolverConfig
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    # compiled from source, so nothing is written under perfbench/
-    namespace = {"__name__": "perfbench_tracer", "__file__": str(TRACER)}
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), namespace)
-    return namespace
+def load_source(name):
+    # compiled from source, so nothing is written under perfbench/; the
+    # module is registered while it runs because dataclasses look it up
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module.__dict__
 
 
 def three_points():
@@ -38,7 +48,7 @@ def test_engine_result_carries_iterations_and_convergence():
 
 
 def test_tracer_patches_install_and_restore():
-    tracer = load_tracer()
+    tracer = load_source("tracer")
     targets = {(module, attr) for module, attr, _ in tracer["SPAN_TARGETS"]}
     originals = {key: getattr(*key) for key in targets}
     patches = tracer["Patches"]()
@@ -66,7 +76,7 @@ def test_tracer_patches_install_and_restore():
 def test_cv_table_makes_one_counted_fit_per_row():
     # the benchmark counts one public fit_* call per (cell, fold) row and
     # divides ok_frac by that count; every model must report its convergence
-    tracer = load_tracer()
+    tracer = load_source("tracer")
     modelsel = tracer["modelsel"]
     rng = np.random.default_rng(3)
     feats, scaler = normalize(np.vstack([rng.normal(0.35, 0.15, (15, 2)),
@@ -98,3 +108,15 @@ def test_cv_table_makes_one_counted_fit_per_row():
     assert counters.raised == 0 and len(models) == counters.fits
     assert {model.method for model in models} == set(METHODS)
     assert all(type(model.converged) is bool for model in models)
+
+
+def test_score_workload_reads_the_fitted_models():
+    # the score workload checks predict against its own expansion of the
+    # model's intercept, coefficients, support, kernel.delta and score
+    # scale/shift; jobs 0 and 1 score the tube and the lssvm model
+    score = load_source("workloads")["Score"](1, "tiny")
+    score.setup()
+    assert [model.method for model in score.models] == ["eps-l1vsvm", "lssvm"]
+    for job in (0, 1):
+        result = score.job(job)
+        assert result.checks_failed == 0 and result.rows == score.batch

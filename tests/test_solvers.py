@@ -14,8 +14,8 @@ from cdfsvm.core import Dataset, GKernelSpec, KernelSpec, Scaler, normalize, sub
 from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d
 from cdfsvm.distribution import MeasureSpec, VMatrix, VWeights, v_matrix
 from cdfsvm.kernels import gram
-from cdfsvm.modelsel import WeightConfig, kfold_split
-from cdfsvm.solvers import (DualModel, SingularSystemError, SolverConfig,
+from cdfsvm.modelsel import METHODS, WeightConfig, fit_full, kfold_split
+from cdfsvm.solvers import (KernelModel, SingularSystemError, SolverConfig,
                             _solve_pairwise, dual_objective, fit_csvm,
                             fit_eps_l1_svm, fit_eps_l1_vsvm, fit_idlssvm,
                             fit_lssvm, fit_vsvm, load_model, predict,
@@ -89,7 +89,7 @@ def test_all_ones_weights_equal_unweighted_path():
     weighted = fit_eps_l1_vsvm(data, K, VWeights.ones(data.m), cfg)
     plain = fit_eps_l1_svm(data, K, cfg)
     assert np.allclose(weighted.coefficients, plain.coefficients, atol=1e-8)
-    assert weighted.bias == pytest.approx(plain.bias, abs=1e-8)
+    assert weighted.intercept == pytest.approx(plain.intercept, abs=1e-8)
     assert plain.method == "eps-l1svm" and plain.v_provenance is None
 
 
@@ -125,8 +125,8 @@ def test_wide_tube_gives_zero_coefficients():
     model = fit_eps_l1_svm(data, K, SolverConfig(gamma=4.0, epsilon=1.0, **TIGHT))
     assert np.array_equal(model.coefficients, np.zeros(4))
     # bias must be consistent with every sample inside the tube
-    assert 1.0 - 1.0 <= model.bias <= 0.0 + 1.0
-    assert model.bias == pytest.approx(0.5, abs=1e-12)
+    assert 1.0 - 1.0 <= model.intercept <= 0.0 + 1.0
+    assert model.intercept == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rejects_bad_inputs():
@@ -330,11 +330,23 @@ def test_dual_model_validation():
     support = np.array([[0.0], [1.0]])
     kernel = KernelSpec.linear()
     with pytest.raises(ValueError):  # box violation
-        DualModel(np.array([2.0, -2.0]), 0.0, support, kernel,
-                  np.array([1.0, 1.0]), 0.1, scaler, "eps-l1svm")
+        KernelModel(np.array([2.0, -2.0]), 0.0, support, kernel, scaler,
+                    "eps-l1svm", caps=np.array([1.0, 1.0]), epsilon=0.1)
     with pytest.raises(ValueError):  # zero-sum violation
-        DualModel(np.array([0.5, 0.0]), 0.0, support, kernel,
-                  np.array([1.0, 1.0]), 0.1, scaler, "eps-l1svm")
+        KernelModel(np.array([0.5, 0.0]), 0.0, support, kernel, scaler,
+                    "eps-l1svm", caps=np.array([1.0, 1.0]), epsilon=0.1)
+
+
+@pytest.mark.parametrize("caps", [np.array([1.0, 1.0]), None])
+@pytest.mark.parametrize("coef, intercept", [([0.5, -0.5], np.nan),
+                                             ([0.5, -0.5], np.inf),
+                                             ([np.nan, 0.0], 0.0)])
+def test_model_rejects_non_finite_solution(caps, coef, intercept):
+    # a NaN intercept would score NaN and save as invalid JSON
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelModel(np.array(coef), intercept, np.array([[0.0], [1.0]]),
+                    KernelSpec.linear(), Scaler(np.zeros(1), np.ones(1)),
+                    "eps-l1svm", caps=caps, epsilon=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +428,7 @@ def test_vsvm_identity_v_is_regularized_least_squares():
     V = VMatrix(np.eye(6), GKernelSpec.step(), MeasureSpec.point_mass())
     model = fit_vsvm(data, K, V, gamma=0.5)
     fn = vsvm_objective(K.values, np.eye(6), data.labels.astype(float), 0.5)
-    grad = fd_gradient(fn, np.concatenate([model.coefficients, [model.offset]]))
+    grad = fd_gradient(fn, np.concatenate([model.coefficients, [model.intercept]]))
     assert np.abs(grad).max() < 1e-6
 
 
@@ -427,7 +439,7 @@ def test_vsvm_constant_labels_constant_fit():
     V = v_matrix(data.features, GKernelSpec.gaussian(0.5), MeasureSpec.unit_box(1))
     model = fit_vsvm(data, K, V, gamma=0.25)
     assert np.array_equal(model.coefficients, np.zeros(4))
-    assert model.offset == 1.0
+    assert model.intercept == 1.0
     assert np.allclose(predict(model, data.features), 1.0)
 
 
@@ -444,7 +456,7 @@ def test_vsvm_stationarity_random_instances():
         gamma = float(2.0 ** rng.uniform(-3, 2))
         model = fit_vsvm(data, K, V, gamma)
         fn = vsvm_objective(K.values, V.values, data.labels.astype(float), gamma)
-        grad = fd_gradient(fn, np.concatenate([model.coefficients, [model.offset]]))
+        grad = fd_gradient(fn, np.concatenate([model.coefficients, [model.intercept]]))
         assert np.abs(grad).max() < 1e-6
 
 
@@ -452,7 +464,7 @@ def test_lssvm_symmetric_two_point():
     data = make_dataset([[0.0], [1.0]], [0, 1])
     K = gram(KernelSpec.rbf(1.0), data.features)
     model = fit_lssvm(data, K, gamma=2.0)
-    assert model.offset == pytest.approx(0.5, abs=1e-12)
+    assert model.intercept == pytest.approx(0.5, abs=1e-12)
     assert model.coefficients[0] == pytest.approx(-model.coefficients[1], abs=1e-12)
 
 
@@ -475,7 +487,7 @@ def test_lssvm_saddle_residual():
     K = gram(KernelSpec.rbf(1.0), data.features)
     gamma = 3.0
     model = fit_lssvm(data, K, gamma)
-    a, b = model.coefficients, model.offset
+    a, b = model.coefficients, model.intercept
     y = data.labels.astype(float)
     r1 = (K.values + np.eye(6) / gamma) @ a + b - y
     assert np.linalg.norm(r1) < 1e-10
@@ -496,7 +508,7 @@ def test_idlssvm_uniform_density_matches_rescaled_lssvm():
     rho = float(np.exp(-(2 * scale**2) / 8))
     reference = fit_lssvm(data, K, gamma * rho)
     assert np.allclose(model.coefficients, reference.coefficients, atol=1e-10)
-    assert model.offset == pytest.approx(reference.offset, abs=1e-10)
+    assert model.intercept == pytest.approx(reference.intercept, abs=1e-10)
 
 
 def test_idlssvm_outlier_has_smallest_density():
@@ -520,7 +532,7 @@ def test_idlssvm_residual_and_class_size_guard():
     from cdfsvm.solvers import _density_weights
     rho = _density_weights(data.features, data.labels, 5)
     y = data.labels.astype(float)
-    r1 = (K.values + np.diag(1.0 / (4.0 * rho))) @ model.coefficients + model.offset - y
+    r1 = (K.values + np.diag(1.0 / (4.0 * rho))) @ model.coefficients + model.intercept - y
     assert np.linalg.norm(r1) < 1e-10
     with pytest.raises(ValueError):
         fit_idlssvm(data, K, gamma=4.0, k=6)
@@ -567,7 +579,7 @@ def assert_bit_identical(fits, fresh_fits):
     for a, b in zip(fits, fresh_fits, strict=True):
         assert a.method == b.method
         assert np.array_equal(a.coefficients, b.coefficients)
-        assert a.offset == b.offset
+        assert a.intercept == b.intercept
 
 
 def closed_form_fits(data, K, V, gamma):
@@ -720,7 +732,7 @@ def test_closed_form_guard_sweep(method):
             except SingularSystemError as exc:
                 rejected.append((key, cond, str(exc)))
                 continue
-            A, c = model.coefficients, model.offset
+            A, c = model.coefficients, model.intercept
             resid = np.abs(M @ A - W @ (y - c)).sum()
             scale = np.abs(W @ y).sum() + abs(c) * np.abs(W.sum(axis=1)).sum()
             if not (resid <= 1e-8 * scale and abs(A.sum()) <= 1e-8 * np.abs(A).sum()):
@@ -735,8 +747,9 @@ def test_closed_form_guard_sweep(method):
 
 def test_predict_zero_coefficients_constant():
     scaler = Scaler(np.zeros(1), np.ones(1))
-    model = DualModel(np.zeros(3), 0.7, np.array([[0.1], [0.5], [0.9]]),
-                      KernelSpec.rbf(1.0), np.ones(3), 0.1, scaler, "eps-l1svm")
+    model = KernelModel(np.zeros(3), 0.7, np.array([[0.1], [0.5], [0.9]]),
+                        KernelSpec.rbf(1.0), scaler, "eps-l1svm",
+                        caps=np.ones(3), epsilon=0.1)
     assert np.allclose(predict(model, np.array([[0.2], [0.8]])), 0.7)
 
 
@@ -746,8 +759,9 @@ def test_predict_matches_manual_expansion():
     coef = rng.normal(size=3)
     coef -= coef.mean()  # zero-sum for the dual container
     caps = np.abs(coef) + 1.0
-    model = DualModel(coef, 0.3, support, KernelSpec.rbf(0.6), caps, 0.1,
-                      Scaler(np.zeros(2), np.ones(2)), "eps-l1svm")
+    model = KernelModel(coef, 0.3, support, KernelSpec.rbf(0.6),
+                        Scaler(np.zeros(2), np.ones(2)), "eps-l1svm",
+                        caps=caps, epsilon=0.1)
     Xq = rng.random((4, 2))
     manual = np.array([
         sum(coef[i] * np.exp(-np.sum((support[i] - x) ** 2) / (2 * 0.36))
@@ -758,8 +772,9 @@ def test_predict_matches_manual_expansion():
 
 def test_predict_dimension_mismatch():
     scaler = Scaler(np.zeros(2), np.ones(2))
-    model = DualModel(np.zeros(2), 0.0, np.array([[0.1, 0.2], [0.3, 0.4]]),
-                      KernelSpec.linear(), np.ones(2), 0.0, scaler, "csvm")
+    model = KernelModel(np.zeros(2), 0.0, np.array([[0.1, 0.2], [0.3, 0.4]]),
+                        KernelSpec.linear(), scaler, "csvm", caps=np.ones(2),
+                        epsilon=0.0)
     with pytest.raises(ValueError):
         predict(model, np.zeros((3, 3)))
 
@@ -780,3 +795,18 @@ def test_model_json_round_trip(tmp_path):
     save_model(lssvm, path2)
     loaded2 = load_model(path2)
     assert np.array_equal(predict(lssvm, grid), predict(loaded2, grid))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_round_trips_bit_identically(tmp_path, method):
+    data = gen_gaussian_2d(GaussianSpec2D(n=40, seed=38))
+    params = dict(gamma=2.0, delta=0.5, epsilon=0.25, sigma=0.5)
+    model = fit_full(data, method, params, "rbf", WeightConfig())
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    grid = np.random.default_rng(38).random((25, 2))
+    assert np.array_equal(predict(model, grid), predict(loaded, grid))
+    assert (loaded.caps is None) == (model.caps is None)
+    assert loaded.epsilon == model.epsilon
+
