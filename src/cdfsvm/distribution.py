@@ -281,7 +281,8 @@ def _empirical_kernel(samples, g, refs, combine="product"):
 
     Beside the output it holds one (N, t) array of differences, and for
     step kernels one boolean mask, so memory grows as N*t, not as the
-    N*t*d of the one-piece formulas. Step entries equal the one-piece
+    N*t*d of the one-piece formulas; ``v_vector`` calls it on slabs of at
+    most 64 samples, so there t <= 64. Step entries equal the one-piece
     N x t x d formulas exactly at any d. Gaussian entries sum d terms in
     order, as numpy's reduction over the last axis does below 8 elements;
     from d >= 8 numpy sums pairwise, and a gaussian entry can differ from
@@ -340,6 +341,10 @@ def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
     mean ("additive"), the latter being the well-conditioned high-dimension
     variant; both live in (0, 1]. With ``normalize`` the vector is divided
     by its maximum so max v_i = 1.
+
+    An empirical measure with N references is averaged over slabs of at
+    most 64 samples, so the kernel block held at once is N*64 numbers, not
+    N*t; the values equal the mean over one (N, t) block bit for bit.
     """
     samples = _samples_for(samples, mu)
     if combine not in ("product", "additive"):
@@ -347,7 +352,12 @@ def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
     if mu.kind == "point_mass":
         values = np.ones(samples.shape[0])
     elif mu.kind == "empirical":
-        values = _empirical_kernel(samples, g, mu.references, combine).mean(axis=0)
+        # no slab is one sample wide unless t = 1: numpy sums an (N, 1)
+        # mean pairwise, but a wider one row by row, as the whole (N, t) does
+        t = samples.shape[0]
+        values = np.concatenate([
+            _empirical_kernel(slab, g, mu.references, combine).mean(axis=0)
+            for slab in np.split(samples, range(64, t - 1, 64))])
     else:
         parts = _per_dim_integrals(samples, g, mu)
         values = np.prod(parts, axis=1) if combine == "product" else parts.mean(axis=1)

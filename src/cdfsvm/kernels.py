@@ -47,7 +47,14 @@ def g_eval(spec: GKernelSpec, u, x) -> float:
 
 
 def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Kernel matrix between two sample sets: entry (i, t) = K(x_i, z_t)."""
+    """Kernel matrix between two sample sets: entry (i, t) = K(x_i, z_t).
+
+    The rbf entries are exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / (2 delta^2)),
+    evaluated in place in one output buffer beside the (m, t) product X Z',
+    so a call holds two full-size arrays. The operations and their order
+    are those of the one-expression formula, so the entries agree with it
+    bit for bit.
+    """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
@@ -56,8 +63,14 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
         return X @ Z.T
     sx = np.sum(X * X, axis=1)
     sz = np.sum(Z * Z, axis=1)
-    d2 = np.maximum(sx[:, None] + sz[None, :] - 2.0 * (X @ Z.T), 0.0)
-    return np.exp(-d2 / (2.0 * spec.delta**2))
+    cross = X @ Z.T
+    cross *= 2.0
+    out = np.add.outer(sx, sz)
+    out -= cross
+    np.maximum(out, 0.0, out=out)
+    # dividing by -2 delta^2 rounds exactly as negating, then dividing by 2 delta^2
+    out /= -2.0 * spec.delta**2
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,26 @@ def qp_reference(K, y, epsilon, caps, caps_neg=None, max_iter=40_000, stall=1_20
     return best_obj, best_z[:m], best_z[m:]
 
 
+def complementarity_gaps(coef, caps, residual, epsilon):
+    """Worst breaches of the tube dual's complementarity conditions.
+
+    With residuals r = y - f(x), a free coefficient (0 < |a_i| < cap_i)
+    puts its sample on the tube's edge, r_i = sign(a_i) * eps, and a
+    coefficient at its cap puts it on or beyond the edge, sign(a_i) * r_i
+    >= eps. Returns the largest |r_i - sign(a_i) eps| over free
+    coefficients and the largest eps - sign(a_i) r_i over capped ones, each
+    0.0 when its set is empty. A coefficient within 1e-9 * max(cap_i, 1) of
+    its cap counts as capped.
+    """
+    coef = np.asarray(coef, dtype=float)
+    at_cap = np.abs(coef) >= caps - 1e-9 * np.maximum(caps, 1.0)
+    free = (coef != 0.0) & ~at_cap
+    sign = np.sign(coef)
+    free_gap = np.abs(residual - sign * epsilon)[free]
+    shortfall = (epsilon - sign * residual)[at_cap]
+    return float(free_gap.max(initial=0.0)), float(shortfall.max(initial=0.0))
+
+
 def midpoint_quadrature(fn, lo, hi, n=100_000):
     """Midpoint-rule average of fn over [lo, hi] (the uniform-measure integral)."""
     grid = lo + (hi - lo) * (np.arange(n) + 0.5) / n

@@ -284,6 +284,25 @@ def test_empirical_weights_bit_identical():
                                       distribution._mirror((W.T @ W) / 37)), (d, kind)
 
 
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("combine", ["product", "additive"])
+@pytest.mark.parametrize("kind", ["step", "gaussian"])
+def test_empirical_v_vector_slabs_bit_identical(kind, combine, d):
+    # v_vector averages 64-sample slabs; the mean over one (N, t) block is
+    # the reference, and t = 65, 129 and 257 catch a one-sample last slab,
+    # whose mean numpy sums in another order
+    rng = np.random.default_rng(19 + d)
+    g = STEP if kind == "step" else GAUSS(0.5)
+    for N in (9, 37, 300):
+        refs = rng.normal(size=(N, d))
+        mu = MeasureSpec.empirical(refs)
+        for t in (1, 2, 63, 64, 65, 66, 129, 130, 257):
+            X = rng.normal(size=(t, d))
+            whole = distribution._empirical_kernel(X, g, refs, combine).mean(axis=0)
+            got = v_vector(X, g, mu, combine=combine, normalize=False).values
+            assert np.array_equal(got, whole), (N, t)
+
+
 @pytest.mark.parametrize("combine", ["product", "additive"])
 @pytest.mark.parametrize("kind", ["step", "gaussian"])
 def test_empirical_weights_memory_grows_as_n_times_t(kind, combine):

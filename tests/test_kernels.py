@@ -96,3 +96,26 @@ def test_cross_gram_matches_gram_block():
     manual = np.array([[k_eval(spec, X[i], Z[t]) for t in range(5)]
                        for i in range(4)])
     assert np.allclose(C, manual, atol=1e-12)
+
+
+def one_expression_rbf(X, Z, delta):
+    """The rbf cross-Gram as one numpy expression, allocating each step."""
+    sx = np.sum(X * X, axis=1)
+    sz = np.sum(Z * Z, axis=1)
+    d2 = np.maximum(sx[:, None] + sz[None, :] - 2.0 * (X @ Z.T), 0.0)
+    return np.exp(-d2 / (2.0 * delta**2))
+
+
+@pytest.mark.parametrize("m, t, d", [(160, 40, 2), (480, 120, 10), (2000, 256, 2),
+                                     (7, 1, 3)])
+@pytest.mark.parametrize("delta", [0.25, 0.5, 1.0, 2.0])
+def test_rbf_grams_bit_identical_to_one_expression(m, t, d, delta):
+    # the in-place evaluation repeats the expression's operations in order
+    rng = np.random.default_rng(m + t + d)
+    X, Z = rng.normal(size=(m, d)), rng.normal(size=(t, d))
+    spec = KernelSpec.rbf(delta)
+    assert np.array_equal(cross_gram(spec, X, Z), one_expression_rbf(X, Z, delta))
+    full = one_expression_rbf(X, X, delta)
+    full = np.triu(full) + np.triu(full, 1).T
+    np.fill_diagonal(full, 1.0)
+    assert np.array_equal(gram(spec, X).values, full)

@@ -1,19 +1,22 @@
 import gc
+import json
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import qp_reference, random_instance
+from oracles import complementarity_gaps, qp_reference, random_instance
 
 from cdfsvm import solvers
-from cdfsvm.core import Dataset, GKernelSpec, KernelSpec, Scaler, normalize, subset
+from cdfsvm.core import (Dataset, GKernelSpec, KernelSpec, Scaler, decide, normalize,
+                         subset)
 from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d
 from cdfsvm.distribution import MeasureSpec, VMatrix, VWeights, v_matrix
-from cdfsvm.kernels import gram
+from cdfsvm.kernels import cross_gram, gram
 from cdfsvm.modelsel import METHODS, WeightConfig, fit_full, kfold_split
 from cdfsvm.solvers import (KernelModel, SingularSystemError, SolverConfig,
                             _solve_pairwise, dual_objective, fit_csvm,
@@ -127,6 +130,7 @@ def test_wide_tube_gives_zero_coefficients():
     # bias must be consistent with every sample inside the tube
     assert 1.0 - 1.0 <= model.intercept <= 0.0 + 1.0
     assert model.intercept == pytest.approx(0.5, abs=1e-12)
+    assert np.array_equal(predict(model, data.features), np.full(4, model.intercept))
 
 
 def test_rejects_bad_inputs():
@@ -168,9 +172,11 @@ def test_kkt_structure_random_fits():
         coef = model.coefficients
         assert abs(coef.sum()) < 1e-8
         assert np.all(np.abs(coef) <= model.caps + 1e-9)
-        assert np.all(np.minimum(model.alpha, model.alpha_star) == 0.0)
-        # strictly-inside-tube samples carry no coefficient
         residual = predict(model, data.features) - data.labels
+        free_gap, cap_shortfall = complementarity_gaps(
+            coef, model.caps, -residual, cfg.epsilon)
+        assert free_gap <= 1e-6 and cap_shortfall <= 1e-6
+        # strictly-inside-tube samples carry no coefficient
         inside = np.abs(residual) < cfg.epsilon - 1e-6
         assert np.all(np.abs(coef[inside]) <= 1e-9)
 
@@ -440,7 +446,7 @@ def test_vsvm_constant_labels_constant_fit():
     model = fit_vsvm(data, K, V, gamma=0.25)
     assert np.array_equal(model.coefficients, np.zeros(4))
     assert model.intercept == 1.0
-    assert np.allclose(predict(model, data.features), 1.0)
+    assert np.array_equal(predict(model, data.features), np.ones(4))
 
 
 def test_vsvm_stationarity_random_instances():
@@ -770,6 +776,35 @@ def test_predict_matches_manual_expansion():
     assert np.allclose(predict(model, Xq), manual, atol=1e-12)
 
 
+def full_expansion(model, X):
+    """Scores summed over every stored row, zero coefficients included."""
+    raw = model.coefficients @ cross_gram(model.kernel, model.support, X)
+    return model.score_scale * (raw + model.intercept) + model.score_shift
+
+
+def test_predict_skips_zero_coefficients():
+    data = gen_gaussian_2d(GaussianSpec2D(n=300, seed=39))
+    params = dict(gamma=1.0, delta=0.5, epsilon=0.25, sigma=0.5)
+    model = fit_full(data, "eps-l1vsvm", params, "rbf", WeightConfig())
+    nonzero = np.count_nonzero(model.coefficients)
+    assert 0 < nonzero < data.m // 2
+    grid = np.random.default_rng(39).normal(size=(500, 2))
+    scores, full = predict(model, grid), full_expansion(model, grid)
+    # only the summation order differs
+    assert np.abs(scores - full).max() <= 1e-12
+    assert np.array_equal(decide(scores), decide(full))
+
+
+@pytest.mark.parametrize("method", ["vsvm", "lssvm", "idlssvm"])
+def test_predict_closed_form_is_the_full_expansion(method):
+    data = gen_gaussian_2d(GaussianSpec2D(n=120, seed=40))
+    params = dict(gamma=2.0, delta=0.5, sigma=0.5)
+    model = fit_full(data, method, params, "rbf", WeightConfig())
+    assert np.all(model.coefficients != 0.0)
+    grid = np.random.default_rng(40).normal(size=(64, 2))
+    assert np.array_equal(predict(model, grid), full_expansion(model, grid))
+
+
 def test_predict_dimension_mismatch():
     scaler = Scaler(np.zeros(2), np.ones(2))
     model = KernelModel(np.zeros(2), 0.0, np.array([[0.1, 0.2], [0.3, 0.4]]),
@@ -784,6 +819,10 @@ def test_model_json_round_trip(tmp_path):
     data, K, model, _ = random_fit(rng)
     path = tmp_path / "model.json"
     save_model(model, path)
+    # the nonzero-row copy predict scores is not a field and is not written
+    with open(path, encoding="utf-8") as fh:
+        assert set(json.load(fh)) == {"format", "version"} | {
+            f.name for f in fields(KernelModel)}
     loaded = load_model(path)
     grid = rng.random((10, data.d))
     assert np.array_equal(predict(model, grid), predict(loaded, grid))
