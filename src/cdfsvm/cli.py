@@ -51,8 +51,12 @@ def _staged(path: str, content) -> None:
         raise
 
 
+def _comma_list(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    values = tuple(float(tok) for tok in _comma_list(text))
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated float list")
     return values
@@ -78,6 +82,11 @@ def _config_values(parser, command: str, path: str) -> dict:
     values = vars(parser.parse_args(args))
     del values["command"]
     return values
+
+
+def _load(ns, path: str, scaler=None):
+    return load_csv(path, label_column=ns.label_column,
+                    positive_label=ns.positive_label or None, scaler=scaler)
 
 
 def _weight_config(ns) -> WeightConfig:
@@ -127,10 +136,7 @@ def _split_train_test(data, ns):
     """(train, test): a stratified split of data, or all of data and the
     rows of the separate test file."""
     if ns.test_file:
-        test = load_csv(ns.test_file, label_column=ns.label_column,
-                        positive_label=ns.positive_label or None,
-                        scaler=data.scaler)
-        return data, test
+        return data, _load(ns, ns.test_file, data.scaler)
     if not 0.0 < ns.train_frac < 1.0:
         raise ValueError("train_frac must lie strictly between 0 and 1")
     folds = max(2, round(1.0 / (1.0 - ns.train_frac)))
@@ -139,8 +145,7 @@ def _split_train_test(data, ns):
 
 
 def _cmd_fit(ns) -> int:
-    data = load_csv(ns.dataset, label_column=ns.label_column,
-                    positive_label=ns.positive_label or None)
+    data = _load(ns, ns.dataset)
     train, test = _split_train_test(data, ns)
     wcfg = _weight_config(ns)
     params = dict(gamma=ns.gamma, delta=ns.delta, epsilon=ns.epsilon,
@@ -171,9 +176,7 @@ def _cmd_fit(ns) -> int:
 
 def _cmd_predict(ns) -> int:
     model = load_model(ns.model)
-    data = load_csv(ns.dataset, label_column=ns.label_column,
-                    positive_label=ns.positive_label or None,
-                    scaler=model.scaler)
+    data = _load(ns, ns.dataset, model.scaler)
     scores = predict(model, data.features)
     labels = decide(scores)
     lines = ["index,score,label"]
@@ -185,8 +188,7 @@ def _cmd_predict(ns) -> int:
 
 
 def _cmd_cv(ns) -> int:
-    data = load_csv(ns.dataset, label_column=ns.label_column,
-                    positive_label=ns.positive_label or None)
+    data = _load(ns, ns.dataset)
     result = grid_search(data, ns.method, _grid_spec(ns, ns.indicator),
                          ns.kernel, _weight_config(ns))
     os.makedirs(ns.out_dir, exist_ok=True)
@@ -207,7 +209,7 @@ def _cmd_cv(ns) -> int:
 
 
 def _cmd_bench_bayes(ns) -> int:
-    methods = tuple(tok.strip() for tok in ns.methods.split(",") if tok.strip())
+    methods = _comma_list(ns.methods)
     for method in methods:
         if method not in METHODS + ("bayes",):
             raise ValueError(f"unknown method {method!r}")
@@ -233,19 +235,17 @@ def _cmd_bench_bayes(ns) -> int:
 
 
 def _cmd_bench_uci(ns) -> int:
-    paths = [tok.strip() for tok in ns.datasets.split(",") if tok.strip()]
+    paths = _comma_list(ns.datasets)
     if not paths:
         raise ValueError("no datasets given")
-    methods = tuple(tok.strip() for tok in ns.methods.split(",") if tok.strip())
+    methods = _comma_list(ns.methods)
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
     loaded = []
     for path in paths:
         try:
-            loaded.append((os.path.basename(path),
-                           load_csv(path, label_column=ns.label_column,
-                                    positive_label=ns.positive_label or None)))
+            loaded.append((os.path.basename(path), _load(ns, path)))
         except (OSError, ValueError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             loaded.append((os.path.basename(path), exc))

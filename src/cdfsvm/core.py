@@ -38,6 +38,21 @@ def _frozen_array(values, dtype=float, ndim=None, what="array"):
     return arr
 
 
+def _frozen_symmetric(values, what):
+    """Read-only copy of a square, exactly symmetric matrix."""
+    arr = _frozen_array(values)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{what} must be square")
+    if not np.array_equal(arr, arr.T):
+        raise ValueError(f"{what} must be exactly symmetric")
+    return arr
+
+
+def _mirror(values: np.ndarray) -> np.ndarray:
+    """The upper triangle of a square matrix, mirrored onto the lower one."""
+    return np.triu(values) + np.triu(values, 1).T
+
+
 @dataclass(frozen=True)
 class Scaler:
     """Per-dimension (min, max) pairs used for unit-interval scaling.

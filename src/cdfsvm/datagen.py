@@ -66,18 +66,24 @@ class Robustness1DSpec:
             raise ValueError("variance must be positive")
 
 
-def sample_gaussian_2d(spec: GaussianSpec2D) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (un-normalized) draws: first n/2 rows class 1 at +mu, rest class 0."""
-    rng = np.random.default_rng(spec.seed)
-    half = spec.n // 2
-    std = np.sqrt(np.asarray(spec.var))
-    mu = np.asarray(spec.mu)
-    pos = mu + std * rng.standard_normal((half, 2))
-    neg = -mu + std * rng.standard_normal((half, 2))
+def _two_normal_classes(seed: int, n: int, mean_pos, mean_neg, std):
+    """Raw (un-normalized) draws: n/2 rows of class 1 around mean_pos, then
+    n/2 rows of class 0 around mean_neg, each coordinate scaled by std."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    shape = (half, np.size(mean_pos))
+    pos = mean_pos + std * rng.standard_normal(shape)
+    neg = mean_neg + std * rng.standard_normal(shape)
     raw = np.vstack([pos, neg])
     labels = np.concatenate([np.ones(half, dtype=np.int64),
                              np.zeros(half, dtype=np.int64)])
     return raw, labels
+
+
+def sample_gaussian_2d(spec: GaussianSpec2D) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (un-normalized) draws: first n/2 rows class 1 at +mu, rest class 0."""
+    mu = np.asarray(spec.mu)
+    return _two_normal_classes(spec.seed, spec.n, mu, -mu, np.sqrt(np.asarray(spec.var)))
 
 
 def gen_gaussian_2d(spec: GaussianSpec2D) -> Dataset:
@@ -96,15 +102,8 @@ def bayes_boundary_2d(spec: GaussianSpec2D) -> BoundaryLine:
 
 
 def sample_robustness_1d(spec: Robustness1DSpec) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(spec.seed)
-    half = spec.n // 2
-    std = np.sqrt(spec.var)
-    pos = spec.center_pos + std * rng.standard_normal((half, 1))
-    neg = spec.center_neg + std * rng.standard_normal((half, 1))
-    raw = np.vstack([pos, neg])
-    labels = np.concatenate([np.ones(half, dtype=np.int64),
-                             np.zeros(half, dtype=np.int64)])
-    return raw, labels
+    return _two_normal_classes(spec.seed, spec.n, spec.center_pos, spec.center_neg,
+                               np.sqrt(spec.var))
 
 
 def gen_robustness_1d(spec: Robustness1DSpec) -> Dataset:

@@ -14,6 +14,14 @@ For the gaussian-kernel/uniform-box pair the exact integral is used,
 
 with all constant prefactors folded into the normalization constant, since
 only relative weights matter downstream.
+
+The V-matrix entry V_ij = int G(u - x_i) G(u - x_j) dmu(u) reuses the
+v-vector's closed forms, one dimension at a time, through two exact
+identities that merge the pair of kernels into one:
+
+    step:      G(u - x_i) G(u - x_j) = G(u - max(x_i, x_j))
+    gaussian:  G_sigma(u - x_i) G_sigma(u - x_j)
+                   = exp(-(x_i - x_j)^2 / (4 sigma^2)) G_{sigma/sqrt(2)}(u - (x_i + x_j)/2)
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, ndtr
 
-from .core import GKernelSpec, write_csv
+from .core import GKernelSpec, _frozen_array, _frozen_symmetric, _mirror, write_csv
 
 __all__ = [
     "MeasureSpec",
@@ -38,16 +46,6 @@ __all__ = [
 ]
 
 _MEASURE_KINDS = ("uniform_box", "gaussian", "empirical", "point_mass")
-
-
-def _opt_array(values, ndim, what):
-    if values is None:
-        return None
-    arr = np.array(values, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -71,11 +69,14 @@ class MeasureSpec:
     def __post_init__(self):
         if self.kind not in _MEASURE_KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        object.__setattr__(self, "center", _opt_array(self.center, 1, "box center"))
-        object.__setattr__(self, "halfwidth", _opt_array(self.halfwidth, 1, "box halfwidth"))
-        object.__setattr__(self, "mean", _opt_array(self.mean, 1, "gaussian mean"))
-        object.__setattr__(self, "std", _opt_array(self.std, 1, "gaussian std"))
-        object.__setattr__(self, "references", _opt_array(self.references, 2, "references"))
+        for name, ndim, what in (("center", 1, "box center"),
+                                 ("halfwidth", 1, "box halfwidth"),
+                                 ("mean", 1, "gaussian mean"),
+                                 ("std", 1, "gaussian std"),
+                                 ("references", 2, "references")):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _frozen_array(value, ndim=ndim, what=what))
         if self.kind == "uniform_box":
             if self.center is None or self.halfwidth is None:
                 raise ValueError("uniform_box measure needs center and halfwidth")
@@ -145,16 +146,13 @@ class VWeights:
     norm_constant: float = 1.0
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("weights must form a vector")
+        vals = _frozen_array(self.values, ndim=1, what="weights")
         if np.any(vals < 0.0) or np.any(vals > 1.0 + 1e-12):
             raise ValueError("weights must lie in [0, 1]")
         if self.combine not in ("product", "additive"):
             raise ValueError(f"unknown combine mode {self.combine!r}")
         if not self.norm_constant > 0.0:
             raise ValueError("normalization constant must be positive")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -187,14 +185,9 @@ class VMatrix:
     mu: MeasureSpec
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError("V-matrix must be square")
-        if not np.array_equal(vals, vals.T):
-            raise ValueError("V-matrix must be exactly symmetric")
+        vals = _frozen_symmetric(self.values, "V-matrix")
         if np.any(vals < 0.0):
             raise ValueError("V-matrix entries must be non-negative")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -203,41 +196,29 @@ class VMatrix:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional closed-form integrals (vectorized over samples x dimensions)
+# one-dimensional closed-form integrals
 
-def _step_vs_gaussian(x, mean, std):
-    # normal mass at or above x, per dimension
-    return ndtr((mean - x) / std)
+def _per_dim_integrals(x, g: GKernelSpec, mu: MeasureSpec, k=slice(None)) -> np.ndarray:
+    """int G(u - x) dmu_k(u) for each coordinate of x, for a parametric mu.
 
-
-def _step_vs_uniform(x, center, halfw):
-    # box mass at or above x
-    return np.clip((center + halfw - x) / (2.0 * halfw), 0.0, 1.0)
-
-
-def _gauss_vs_uniform(x, center, halfw, sigma):
-    xc = x - center
-    rt2 = sigma * np.sqrt(2.0)
-    pref = sigma * np.sqrt(2.0 * np.pi) / (4.0 * halfw)
-    return pref * (erf((halfw - xc) / rt2) + erf((halfw + xc) / rt2))
-
-
-def _gauss_vs_gaussian(x, mean, std, sigma):
-    var = sigma**2 + std**2
-    return (sigma / np.sqrt(var)) * np.exp(-((x - mean) ** 2) / (2.0 * var))
-
-
-def _per_dim_integrals(samples: np.ndarray, g: GKernelSpec, mu: MeasureSpec) -> np.ndarray:
-    """(m, d) matrix of one-dimensional kernel integrals for parametric mu."""
+    ``x`` holds coordinates in the dimensions ``k`` selects: an (m, d)
+    sample matrix for all of them, or an array of any shape for one.
+    """
     if mu.kind == "uniform_box":
+        center, halfw = mu.center[k], mu.halfwidth[k]
         if g.kind == "step":
-            return _step_vs_uniform(samples, mu.center, mu.halfwidth)
-        return _gauss_vs_uniform(samples, mu.center, mu.halfwidth, g.sigma)
-    if mu.kind == "gaussian":
-        if g.kind == "step":
-            return _step_vs_gaussian(samples, mu.mean, mu.std)
-        return _gauss_vs_gaussian(samples, mu.mean, mu.std, g.sigma)
-    raise ValueError(f"no closed form for measure kind {mu.kind!r}")
+            # box mass at or above x
+            return np.clip((center + halfw - x) / (2.0 * halfw), 0.0, 1.0)
+        xc = x - center
+        rt2 = g.sigma * np.sqrt(2.0)
+        pref = g.sigma * np.sqrt(2.0 * np.pi) / (4.0 * halfw)
+        return pref * (erf((halfw - xc) / rt2) + erf((halfw + xc) / rt2))
+    mean, std = mu.mean[k], mu.std[k]  # gaussian measure
+    if g.kind == "step":
+        # normal mass at or above x
+        return ndtr((mean - x) / std)
+    var = g.sigma**2 + std**2
+    return (g.sigma / np.sqrt(var)) * np.exp(-((x - mean) ** 2) / (2.0 * var))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +269,6 @@ def _empirical_kernel(samples, g, refs, combine="product"):
     from d >= 8 numpy sums pairwise, and a gaussian entry can differ from
     the one-piece formula in the last bit.
     """
-    if combine not in ("product", "additive"):
-        raise ValueError(f"unknown combine mode {combine!r}")
     N, d = refs.shape
     diff = np.empty((N, samples.shape[0]))
     step_product = combine == "product" and g.kind == "step"
@@ -374,9 +353,10 @@ def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
 def v_matrix(samples, g: GKernelSpec, mu: MeasureSpec) -> VMatrix:
     """Pairwise weight matrix V_ij = int G(x - x_i) G(x - x_j) dmu(x).
 
-    Empirical measures use the reference average; parametric measures use
-    per-dimension closed forms combined by product. The point-mass measure
-    degenerates to the identity matrix.
+    Empirical measures use the reference average. Parametric measures
+    multiply, over dimensions, the v-vector's closed form at one merged
+    point per pair (see the module docstring), so V is exactly symmetric
+    as built. The point-mass measure degenerates to the identity matrix.
     """
     X = _samples_for(samples, mu)
     m, d = X.shape
@@ -389,37 +369,15 @@ def v_matrix(samples, g: GKernelSpec, mu: MeasureSpec) -> VMatrix:
         return VMatrix(_mirror(vals), g, mu)
 
     vals = np.ones((m, m))
+    half = GKernelSpec.gaussian(g.sigma / np.sqrt(2.0)) if g.kind == "gaussian" else g
     for k in range(d):
         xk = X[:, k]
-        hi = np.maximum.outer(xk, xk)
-        if mu.kind == "uniform_box":
-            c, a = mu.center[k], mu.halfwidth[k]
-            if g.kind == "step":
-                vals *= np.clip((c + a - hi) / (2.0 * a), 0.0, 1.0)
-            else:
-                s = g.sigma
-                mid = 0.5 * np.add.outer(xk, xk) - c
-                gap2 = np.subtract.outer(xk, xk) ** 2
-                pref = s * np.sqrt(np.pi) / (4.0 * a)
-                vals *= (np.exp(-gap2 / (4.0 * s**2)) * pref
-                         * (erf((a - mid) / s) + erf((a + mid) / s)))
-        else:  # gaussian measure
-            mean, std = mu.mean[k], mu.std[k]
-            if g.kind == "step":
-                vals *= ndtr((mean - hi) / std)
-            else:
-                s = g.sigma
-                mid = 0.5 * np.add.outer(xk, xk)
-                gap2 = np.subtract.outer(xk, xk) ** 2
-                var = 0.5 * s**2 + std**2
-                vals *= (np.exp(-gap2 / (4.0 * s**2))
-                         * (s / np.sqrt(2.0 * var))
-                         * np.exp(-((mid - mean) ** 2) / (2.0 * var)))
-    return VMatrix(_mirror(vals), g, mu)
-
-
-def _mirror(vals: np.ndarray) -> np.ndarray:
-    return np.triu(vals) + np.triu(vals, 1).T
+        if g.kind == "step":
+            vals *= _per_dim_integrals(np.maximum.outer(xk, xk), g, mu, k)
+        else:
+            vals *= np.exp(-np.subtract.outer(xk, xk) ** 2 / (4.0 * g.sigma**2))
+            vals *= _per_dim_integrals(0.5 * np.add.outer(xk, xk), half, mu, k)
+    return VMatrix(vals, g, mu)
 
 
 def weights_to_csv(weights: VWeights, path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GKernelSpec, KernelSpec
+from .core import GKernelSpec, KernelSpec, _frozen_symmetric, _mirror
 
 __all__ = ["GramMatrix", "cross_gram", "g_eval", "gram", "k_eval"]
 
@@ -81,13 +81,7 @@ class GramMatrix:
     spec: KernelSpec
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        if not np.array_equal(vals, vals.T):
-            raise ValueError("Gram matrix must be exactly symmetric")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_symmetric(self.values, "Gram matrix"))
 
     @property
     def m(self) -> int:
@@ -100,8 +94,7 @@ def gram(spec: KernelSpec, X) -> GramMatrix:
     The upper triangle is computed and mirrored, so the result is exactly
     symmetric; the rbf diagonal is pinned to 1.
     """
-    values = cross_gram(spec, X, X)
-    values = np.triu(values) + np.triu(values, 1).T
+    values = _mirror(cross_gram(spec, X, X))
     if spec.kind == "rbf":
         np.fill_diagonal(values, 1.0)
     return GramMatrix(values, spec)

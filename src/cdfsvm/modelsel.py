@@ -11,7 +11,7 @@ can select without refitting. Vac's test weights come from one fixed
 evaluation (G, mu) configuration shared by all cells and methods, keeping
 values comparable; distribution weights consumed by the models themselves
 are recomputed per training fold against the full-sample reference set
-(transductively) unless strict mode restricts references to the fold.
+(transductively).
 """
 
 from __future__ import annotations
@@ -78,16 +78,13 @@ class WeightConfig:
     """Distribution-weight configuration shared by models and the Vac indicator.
 
     ``sigma_eval`` fixes the gaussian G width used for Vac test weights (the
-    step kernel needs none); model-side sigmas remain grid-searched. With
-    ``strict_fold_references`` the empirical/gaussian measures see only the
-    training fold instead of the full sample.
+    step kernel needs none); model-side sigmas remain grid-searched.
     """
 
     g_kind: str = "gaussian"
     mu_kind: str = "empirical"
     combine: str = "product"
     sigma_eval: float = 1.0
-    strict_fold_references: bool = False
 
     def __post_init__(self):
         if self.g_kind not in ("gaussian", "step"):
@@ -168,6 +165,16 @@ def _kernel_spec(kernel_kind: str, delta: float | None) -> KernelSpec:
     raise ValueError(f"unknown kernel kind {kernel_kind!r}")
 
 
+def _model_weights(method: str, wcfg: WeightConfig, samples: np.ndarray,
+                   references: np.ndarray, sigma: float | None):
+    """(v-vector, V-matrix) a method fits with; each is None unless it uses it."""
+    if method == "eps-l1vsvm":
+        return wcfg.weights_for(samples, references, sigma), None
+    if method == "vsvm":
+        return None, wcfg.vmatrix_for(samples, references, sigma)
+    return None, None
+
+
 def _fit_cell(method: str, train: Dataset, K, gamma: float,
               epsilon: float | None, weights: VWeights | None,
               vmat: VMatrix | None):
@@ -211,17 +218,13 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
         train = subset(data, tr)
         X_val, y_val = data.features[va], data.labels[va]
         v_val = eval_v[va]
-        refs = train.features if wcfg.strict_fold_references else data.features
         for delta in deltas:
             kspec = _kernel_spec(kernel_kind, delta)
             K = gram(kspec, train.features)
             cross = cross_gram(kspec, train.features, X_val)
             for sigma in sigmas:
-                weights = vmat = None
-                if method == "eps-l1vsvm":
-                    weights = wcfg.weights_for(train.features, refs, sigma)
-                elif method == "vsvm":
-                    vmat = wcfg.vmatrix_for(train.features, refs, sigma)
+                weights, vmat = _model_weights(method, wcfg, train.features,
+                                               data.features, sigma)
                 for gamma in grid.gammas:
                     for epsilon in epsilons:
                         cell = dict(gamma=gamma, delta=delta, epsilon=epsilon,
@@ -316,11 +319,7 @@ def fit_full(data: Dataset, method: str, params: dict, kernel_kind: str = "rbf",
     """Fit one method on the whole dataset with explicit cell parameters."""
     kspec = _kernel_spec(kernel_kind, params.get("delta"))
     K = gram(kspec, data.features)
-    weights = vmat = None
-    sigma = params.get("sigma")
-    if method == "eps-l1vsvm":
-        weights = wcfg.weights_for(data.features, data.features, sigma)
-    elif method == "vsvm":
-        vmat = wcfg.vmatrix_for(data.features, data.features, sigma)
+    weights, vmat = _model_weights(method, wcfg, data.features, data.features,
+                                   params.get("sigma"))
     return _fit_cell(method, data, K, params["gamma"], params.get("epsilon"),
                      weights, vmat)

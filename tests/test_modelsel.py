@@ -216,14 +216,6 @@ def test_fit_full_every_method():
         assert np.mean(pred == data.labels) >= 0.9
 
 
-def test_strict_fold_references_mode():
-    data = separable_dataset(seed=15)
-    grid = small_grid(gammas=(1.0,))
-    strict = WeightConfig(mu_kind="empirical", strict_fold_references=True)
-    rows = cv_table(data, "eps-l1vsvm", grid, "linear", strict)
-    assert all(r["valid"] for r in rows)
-
-
 def test_vanishing_step_weights_disable_vac_column():
     # the per-dimension maximum samples carry zero box mass above them, so
     # Vac is undefined; Acc selection must still work
