@@ -223,6 +223,9 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
             K = gram(kspec, train.features)
             cross = cross_gram(kspec, train.features, X_val)
             for sigma in sigmas:
+                # free the last sigma's V, and the V·K memo entry it keys,
+                # before the next one is built
+                weights = vmat = None
                 weights, vmat = _model_weights(method, wcfg, train.features,
                                                data.features, sigma)
                 for gamma in grid.gammas:
