@@ -151,6 +151,10 @@ def _cmd_fit(ns) -> int:
     params = dict(gamma=ns.gamma, delta=ns.delta, epsilon=ns.epsilon,
                   sigma=ns.sigma)
     model = fit_full(train, ns.method, params, ns.kernel, wcfg)
+    if not model.converged:
+        print(f"warning: the {ns.method} fit stopped before the KKT tolerance "
+              "(max_iter or a stall); the model is written as it stands",
+              file=sys.stderr)
     pred = decide(predict(model, test.features))
     # weights are normalized over the whole sample, train and test rows, as
     # in cross-validation

@@ -13,7 +13,9 @@ For the gaussian-kernel/uniform-box pair the exact integral is used,
                                          + erf((a + x)/(sigma*sqrt(2)))),
 
 with all constant prefactors folded into the normalization constant, since
-only relative weights matter downstream.
+only relative weights matter downstream. Where |x| > a the erf sum cancels,
+so there the same value is taken as erfc((|x| - a)/(sigma*sqrt(2))) -
+erfc((|x| + a)/(sigma*sqrt(2))); samples inside the box keep the erf form.
 
 The V-matrix entry V_ij = int G(u - x_i) G(u - x_j) dmu(u) reuses the
 v-vector's closed forms, one dimension at a time, through two exact
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, ndtr
+from scipy.special import erf, erfc, ndtr
 
 from .core import GKernelSpec, _frozen_array, _frozen_symmetric, _mirror, write_csv
 
@@ -212,7 +214,16 @@ def _per_dim_integrals(x, g: GKernelSpec, mu: MeasureSpec, k=slice(None)) -> np.
         xc = x - center
         rt2 = g.sigma * np.sqrt(2.0)
         pref = g.sigma * np.sqrt(2.0 * np.pi) / (4.0 * halfw)
-        return pref * (erf((halfw - xc) / rt2) + erf((halfw + xc) / rt2))
+        mass = erf((halfw - xc) / rt2) + erf((halfw + xc) / rt2)
+        ax = np.abs(xc)
+        far = ax > halfw
+        if np.any(far):
+            # outside the box the erf sum is a difference of two numbers near
+            # 1 and cancels; the same difference of erfc tails keeps its digits
+            near_edge = (ax - halfw) / g.sigma / np.sqrt(2.0)
+            far_edge = (ax + halfw) / g.sigma / np.sqrt(2.0)
+            mass = np.where(far, erfc(near_edge) - erfc(far_edge), mass)
+        return pref * mass
     mean, std = mu.mean[k], mu.std[k]  # gaussian measure
     if g.kind == "step":
         # normal mass at or above x

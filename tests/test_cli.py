@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from cdfsvm.cli import main
 from cdfsvm.core import decide
 from cdfsvm.datagen import load_csv
 from cdfsvm.evaluation import vac
+from cdfsvm.modelsel import fit_full
 from cdfsvm.solvers import load_model, predict
 
 
@@ -66,6 +68,26 @@ def test_fit_separable_perfect_report(tmp_path, capsys):
     model_file = out_dir / "model-eps-l1vsvm.json"
     payload = json.loads(model_file.read_text())
     assert payload["format"] == "cdfsvm-model"
+
+
+def test_fit_warns_on_a_non_converged_model(tmp_path, capsys, monkeypatch):
+    csv_path = tmp_path / "toy.csv"
+    make_toy_csv(csv_path)
+    args = ("fit", "--dataset", csv_path, "--method", "eps-l1vsvm",
+            "--kernel", "linear", "--gamma", 4.0)
+    assert run_cli(*args, "--out-dir", tmp_path / "ok") == 0
+    assert capsys.readouterr().err == ""
+
+    def stopped_early(*fit_args):
+        return dataclasses.replace(fit_full(*fit_args), converged=False)
+
+    monkeypatch.setattr(cli, "fit_full", stopped_early)
+    out_dir = tmp_path / "capped"
+    assert run_cli(*args, "--out-dir", out_dir) == 0  # exit code unchanged
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: the eps-l1vsvm fit stopped")
+    payload = json.loads((out_dir / "model-eps-l1vsvm.json").read_text())
+    assert payload["converged"] is False
 
 
 def test_fit_report_names_every_option(tmp_path):

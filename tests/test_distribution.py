@@ -444,6 +444,47 @@ def test_v_matrix_matches_per_pair_formulas(mu_kind, d):
                                    rtol=1e-14, atol=0.0), (m, g)
 
 
+# (1/2a) int_{-a}^{a} G_sigma(u - x) du for a = 0.5 and sigma the double
+# nearest 0.1, at x = 1.0 and x = 1.5, to 50 digits: sigma*sqrt(2*pi)/(4a) *
+# (erfc((x - a)/(sigma*sqrt(2))) - erfc((x + a)/(sigma*sqrt(2)))) evaluated
+# in 60-digit arithmetic
+FAR_SIDE = {1.0: 7.1852893503980913144453396086156798228934085883981e-8,
+            1.5: 1.9100139038893418965657556280724176345994695911792e-24}
+
+
+@pytest.mark.parametrize("x", sorted(FAR_SIDE))
+def test_gaussian_box_weight_far_outside_the_box(x):
+    # outside the box the erf sum cancels (3.9e-11 off at x = 1.0, and 0 at
+    # x = 1.5); the erfc form keeps full relative accuracy on either side
+    mu = MeasureSpec.uniform_box([0.5])
+    got = distribution._per_dim_integrals(np.array([[x], [-x]]), GAUSS(0.1), mu)
+    assert got[0, 0] == got[1, 0]
+    assert got[0, 0] == pytest.approx(FAR_SIDE[x], rel=1e-14, abs=0.0)
+
+
+def test_gaussian_box_weights_inside_the_box_keep_the_erf_form(monkeypatch):
+    # unit-box samples, edges included, never reach the erfc branch, so their
+    # weights and V are the erf closed form bit for bit
+    def unused(_):
+        raise AssertionError("erfc branch reached for an in-box sample")
+
+    monkeypatch.setattr(distribution, "erfc", unused)
+    rng = np.random.default_rng(29)
+    X = np.vstack([rng.random((40, 2)), [[0.0, 1.0], [1.0, 0.0]]])
+    mu = MeasureSpec.unit_box(2)
+    for sigma in (2.0**-4, 0.5, 4.0):
+        g = GAUSS(sigma)
+        rt2 = sigma * np.sqrt(2.0)
+        xc = X - 0.5
+        erf_form = (sigma * np.sqrt(2.0 * np.pi) / 2.0
+                    * (erf((0.5 - xc) / rt2) + erf((0.5 + xc) / rt2)))
+        assert np.array_equal(distribution._per_dim_integrals(X, g, mu), erf_form)
+        weights = v_vector(X, g, mu, "product", normalize=False).values
+        assert np.array_equal(weights, np.prod(erf_form, axis=1))
+        assert np.allclose(v_matrix(X, g, mu).values, per_pair_v_matrix(X, g, mu),
+                           rtol=1e-14, atol=0.0)
+
+
 def test_weights_to_csv_round_trip(tmp_path):
     rng = np.random.default_rng(19)
     weights = v_vector(rng.random((5, 2)), GAUSS(0.5), MeasureSpec.unit_box(2))
