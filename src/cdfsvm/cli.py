@@ -180,6 +180,10 @@ def _cmd_fit(ns) -> int:
 
 def _cmd_predict(ns) -> int:
     model = load_model(ns.model)
+    if not model.converged:
+        print(f"warning: the {model.method} model in {ns.model} stopped before "
+              "the KKT tolerance when it was fitted; predicting with it as it "
+              "stands", file=sys.stderr)
     data = _load(ns, ns.dataset, model.scaler)
     scores = predict(model, data.features)
     labels = decide(scores)

@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Dataset, Scaler, normalize, to_internal_labels, write_csv
 from .evaluation import BoundaryLine
@@ -119,6 +118,8 @@ def bayes_posterior(x, mean_pos, mean_neg, var) -> np.ndarray | float:
     Computed through the log-likelihood ratio for stability; for the 1-D
     robustness spec this reduces to 1 / (1 + exp(2x)).
     """
+    from scipy.special import expit
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     mean_pos = np.atleast_1d(np.asarray(mean_pos, dtype=float))
     mean_neg = np.atleast_1d(np.asarray(mean_neg, dtype=float))

@@ -13,7 +13,7 @@ from cdfsvm.core import decide
 from cdfsvm.datagen import load_csv
 from cdfsvm.evaluation import vac
 from cdfsvm.modelsel import fit_full
-from cdfsvm.solvers import load_model, predict
+from cdfsvm.solvers import load_model, predict, save_model
 
 
 def run_cli(*args):
@@ -200,6 +200,27 @@ def test_predict_round_trip(tmp_path):
     assert len(lines) == 41
     labels = np.array([int(line.split(",")[2]) for line in lines[1:]])
     assert set(labels.tolist()) == {0, 1}
+
+
+def test_predict_warns_on_a_non_converged_model(tmp_path, capsys):
+    csv_path = tmp_path / "toy.csv"
+    make_toy_csv(csv_path, seed=7)
+    out_dir = tmp_path / "run"
+    assert run_cli("fit", "--dataset", csv_path, "--method", "eps-l1vsvm",
+                   "--kernel", "linear", "--gamma", 4.0, "--out-dir", out_dir) == 0
+    model_path = out_dir / "model-eps-l1vsvm.json"
+    args = ("predict", "--dataset", csv_path)
+    assert run_cli(*args, "--model", model_path, "--out", tmp_path / "ok.csv") == 0
+    assert capsys.readouterr().err == ""
+
+    capped_path = tmp_path / "capped.json"
+    save_model(dataclasses.replace(load_model(model_path), converged=False),
+               capped_path)
+    assert run_cli(*args, "--model", capped_path,
+                   "--out", tmp_path / "capped.csv") == 0  # exit code unchanged
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: the eps-l1vsvm model")
+    assert (tmp_path / "capped.csv").read_bytes() == (tmp_path / "ok.csv").read_bytes()
 
 
 def test_cv_single_cell_echo(tmp_path, capsys):

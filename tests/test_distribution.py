@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from oracles import midpoint_quadrature
 from scipy.special import erf, ndtr
 
@@ -468,7 +469,8 @@ def test_gaussian_box_weights_inside_the_box_keep_the_erf_form(monkeypatch):
     def unused(_):
         raise AssertionError("erfc branch reached for an in-box sample")
 
-    monkeypatch.setattr(distribution, "erfc", unused)
+    # _per_dim_integrals imports erfc from scipy.special on every call
+    monkeypatch.setattr(scipy.special, "erfc", unused)
     rng = np.random.default_rng(29)
     X = np.vstack([rng.random((40, 2)), [[0.0, 1.0], [1.0, 0.0]]])
     mu = MeasureSpec.unit_box(2)
