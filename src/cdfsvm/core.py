@@ -48,9 +48,34 @@ def _frozen_symmetric(values, what):
     return arr
 
 
+# entries in one row block of the kernel-matrix builders: 128 KB of floats,
+# so a block stays in L2 cache through all of its elementwise passes
+_BLOCK = 16_384
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a ``width``-column matrix that make one block, at least one."""
+    return max(1, _BLOCK // max(width, 1))
+
+
 def _mirror(values: np.ndarray) -> np.ndarray:
-    """The upper triangle of a square matrix, mirrored onto the lower one."""
-    return np.triu(values) + np.triu(values, 1).T
+    """Mirror a square matrix's upper triangle onto its lower one, in place.
+
+    Works one strip of rows at a time and returns ``values``. Every entry
+    equals that of ``np.triu(values) + np.triu(values, 1).T``, which the
+    diagonal squares still evaluate; the rest of a strip gets ``+ 0.0``, so
+    -0.0 becomes +0.0 as there, and the strip below each square copies
+    those entries.
+    """
+    m = values.shape[0]
+    rows = _block_rows(m)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        square = values[lo:hi, lo:hi]
+        values[lo:hi, lo:hi] = np.triu(square) + np.triu(square, 1).T
+        right = np.add(values[lo:hi, hi:], 0.0, out=values[lo:hi, hi:])
+        values[hi:, lo:hi] = right.T
+    return values
 
 
 @dataclass(frozen=True)

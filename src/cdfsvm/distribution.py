@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GKernelSpec, _frozen_array, _frozen_symmetric, _mirror, write_csv
+from .core import (GKernelSpec, _block_rows, _frozen_array, _frozen_symmetric, _mirror,
+                   write_csv)
 
 __all__ = [
     "MeasureSpec",
@@ -273,26 +274,34 @@ def v_empirical(mu: MeasureSpec, g: GKernelSpec, x, combine: str = "product") ->
     return _point_weight(x, g, mu, combine)
 
 
-def _empirical_kernel(samples, g, refs, combine="product"):
-    """(N, t) matrix of G(ref_n - x_i), accumulated one dimension at a time.
+def _kernel_block(out, columns, g, refs, combine):
+    """Write G(ref_n - x_i) for the n rows of ``refs`` into ``out``, (n, t).
 
-    Beside the output it holds one (N, t) array of differences, and for
-    step kernels one boolean mask, so memory grows as N*t, not as the
-    N*t*d of the one-piece formulas; ``v_vector`` calls it on slabs of at
-    most 64 samples, so there t <= 64. Step entries equal the one-piece
-    N x t x d formulas exactly at any d. Gaussian entries sum d terms in
-    order, as numpy's reduction over the last axis does below 8 elements;
-    from d >= 8 numpy sums pairwise, and a gaussian entry can differ from
-    the one-piece formula in the last bit.
+    ``columns`` holds the samples as (d, t), C-contiguous. The block is
+    accumulated one dimension at a time beside one block of differences,
+    so memory is a few blocks, not the n*t*d of the one-piece formulas.
+    The difference of dimension k is a copy of the references' column
+    minus the contiguous row k of ``columns``, which rounds as the
+    broadcast subtraction does. Step entries equal the one-piece formulas
+    exactly at any d. Gaussian entries sum d terms in order, as numpy's
+    reduction over the last axis does below 8 elements; from d >= 8 numpy
+    sums pairwise, and a gaussian entry can differ from the one-piece
+    formula in the last bit.
     """
-    N, d = refs.shape
-    diff = np.empty((N, samples.shape[0]))
+    d = refs.shape[1]
+    diff = np.empty(out.shape)
     step_product = combine == "product" and g.kind == "step"
-    out = np.ones(diff.shape, dtype=bool) if step_product else np.zeros(diff.shape)
+    if step_product:
+        # a logical and, kept in bool until the block is done
+        acc = np.ones(out.shape, dtype=bool)
+    else:
+        acc = out
+        acc[...] = 0.0
     # dividing by -2 sigma^2 rounds exactly as negating, then dividing by 2 sigma^2
     scale = -2.0 * g.sigma**2 if g.kind == "gaussian" else None
     for k in range(d):
-        np.subtract(refs[:, k, None], samples[None, :, k], out=diff)
+        np.copyto(diff, refs[:, k, None])
+        np.subtract(diff, columns[k], out=diff)
         if g.kind == "step":
             part = diff >= 0.0
         else:
@@ -300,14 +309,46 @@ def _empirical_kernel(samples, g, refs, combine="product"):
             if combine == "additive":
                 np.exp(np.divide(part, scale, out=part), out=part)
         if step_product:
-            out &= part
+            acc &= part
         else:
-            out += part
-    if combine == "additive":
+            acc += part
+    if step_product:
+        np.copyto(out, acc)
+    elif combine == "additive":
         out /= d
     elif g.kind == "gaussian":
         np.exp(np.divide(out, scale, out=out), out=out)
+
+
+def _empirical_kernel(samples, g, refs, combine="product"):
+    """(N, t) float matrix of G(ref_n - x_i), filled one block of reference rows at a time."""
+    columns = np.ascontiguousarray(samples.T)
+    out = np.empty((refs.shape[0], samples.shape[0]))
+    rows = _block_rows(samples.shape[0])
+    for lo in range(0, refs.shape[0], rows):
+        _kernel_block(out[lo:lo + rows], columns, g, refs[lo:lo + rows], combine)
     return out
+
+
+def _empirical_mean(samples, g, refs, combine):
+    """Column means of the (N, t) kernel, bit for bit those of ``.mean(axis=0)``.
+
+    numpy sums each column of a wider kernel in reference order, so every
+    block is reduced together with a carry row that holds the column sums
+    so far. An (N, 1) kernel numpy sums pairwise, so t = 1 stays one block.
+    """
+    N, t = refs.shape[0], samples.shape[0]
+    columns = np.ascontiguousarray(samples.T)
+    rows = N if t == 1 else _block_rows(t)
+    buf = np.empty((min(rows, N) + 1, t))
+    sums = np.empty(t)
+    for lo in range(0, N, rows):
+        block = refs[lo:lo + rows]
+        _kernel_block(buf[1:len(block) + 1], columns, g, block, combine)
+        # the first block has no carry yet
+        np.add.reduce(buf[0 if lo else 1:len(block) + 1], axis=0, out=sums)
+        buf[0] = sums
+    return sums / N
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +378,10 @@ def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
     variant; both live in (0, 1]. With ``normalize`` the vector is divided
     by its maximum so max v_i = 1.
 
-    An empirical measure with N references is averaged over slabs of at
-    most 64 samples, so the kernel block held at once is N*64 numbers, not
-    N*t; the values equal the mean over one (N, t) block bit for bit.
+    An empirical measure with N references is averaged one block of
+    reference rows at a time, so the kernel held at once is a few blocks,
+    whatever N and t are; the values equal the mean over one (N, t) kernel
+    bit for bit.
     """
     samples = _samples_for(samples, mu)
     if combine not in ("product", "additive"):
@@ -347,12 +389,7 @@ def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
     if mu.kind == "point_mass":
         values = np.ones(samples.shape[0])
     elif mu.kind == "empirical":
-        # no slab is one sample wide unless t = 1: numpy sums an (N, 1)
-        # mean pairwise, but a wider one row by row, as the whole (N, t) does
-        t = samples.shape[0]
-        values = np.concatenate([
-            _empirical_kernel(slab, g, mu.references, combine).mean(axis=0)
-            for slab in np.split(samples, range(64, t - 1, 64))])
+        values = _empirical_mean(samples, g, mu.references, combine)
     else:
         parts = _per_dim_integrals(samples, g, mu)
         values = np.prod(parts, axis=1) if combine == "product" else parts.mean(axis=1)
@@ -380,7 +417,7 @@ def v_matrix(samples, g: GKernelSpec, mu: MeasureSpec) -> VMatrix:
         return VMatrix(np.eye(m), g, mu)
     if mu.kind == "empirical":
         refs = mu.references
-        W = _empirical_kernel(X, g, refs).astype(float, copy=False)
+        W = _empirical_kernel(X, g, refs)
         vals = (W.T @ W) / refs.shape[0]
         return VMatrix(_mirror(vals), g, mu)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GKernelSpec, KernelSpec, _frozen_symmetric, _mirror
+from .core import GKernelSpec, KernelSpec, _block_rows, _frozen_symmetric, _mirror
 
 __all__ = ["GramMatrix", "cross_gram", "g_eval", "gram", "k_eval"]
 
@@ -50,10 +50,10 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
     """Kernel matrix between two sample sets: entry (i, t) = K(x_i, z_t).
 
     The rbf entries are exp(-max(|x|^2 + |z|^2 - 2 x.z, 0) / (2 delta^2)),
-    evaluated in place in one output buffer beside the (m, t) product X Z',
-    so a call holds two full-size arrays. The operations and their order
-    are those of the one-expression formula, so the entries agree with it
-    bit for bit.
+    evaluated in place in the (m, t) product X Z', one row block at a time
+    beside one block of scratch, so a call holds one full-size array. The
+    operations and their order are those of the one-expression formula, so
+    the entries agree with it bit for bit.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -63,14 +63,20 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
         return X @ Z.T
     sx = np.sum(X * X, axis=1)
     sz = np.sum(Z * Z, axis=1)
-    cross = X @ Z.T
-    cross *= 2.0
-    out = np.add.outer(sx, sz)
-    out -= cross
-    np.maximum(out, 0.0, out=out)
+    out = X @ Z.T
+    rows = _block_rows(out.shape[1])
+    scratch = np.empty((min(rows, out.shape[0]), out.shape[1]))
     # dividing by -2 delta^2 rounds exactly as negating, then dividing by 2 delta^2
-    out /= -2.0 * spec.delta**2
-    return np.exp(out, out=out)
+    scale = -2.0 * spec.delta**2
+    for lo in range(0, out.shape[0], rows):
+        block = out[lo:lo + rows]
+        block *= 2.0
+        sums = np.add.outer(sx[lo:lo + rows], sz, out=scratch[:len(block)])
+        np.subtract(sums, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        block /= scale
+        np.exp(block, out=block)
+    return out
 
 
 @dataclass(frozen=True)

@@ -290,12 +290,14 @@ def test_empirical_weights_bit_identical():
 @pytest.mark.parametrize("combine", ["product", "additive"])
 @pytest.mark.parametrize("kind", ["step", "gaussian"])
 def test_empirical_v_vector_slabs_bit_identical(kind, combine, d):
-    # v_vector averages 64-sample slabs; the mean over one (N, t) block is
-    # the reference, and t = 65, 129 and 257 catch a one-sample last slab,
-    # whose mean numpy sums in another order
+    # v_vector sums slabs of 16,384 // t reference rows (8,192 at t = 2),
+    # each together with a carry row of the sums so far; the mean over one
+    # (N, t) kernel is the reference. N = 17,000 takes every t > 1 across
+    # at least two slabs with a remainder; t = 1 is one slab, which numpy
+    # sums pairwise as it does the whole (N, 1) kernel
     rng = np.random.default_rng(19 + d)
     g = STEP if kind == "step" else GAUSS(0.5)
-    for N in (9, 37, 300):
+    for N in (9, 37, 300, 17_000):
         refs = rng.normal(size=(N, d))
         mu = MeasureSpec.empirical(refs)
         for t in (1, 2, 63, 64, 65, 66, 129, 130, 257):
@@ -322,6 +324,24 @@ def test_empirical_weights_memory_grows_as_n_times_t(kind, combine):
     finally:
         tracemalloc.stop()
     assert peak < 4 * N * t * 8
+
+
+@pytest.mark.parametrize("combine", ["product", "additive"])
+@pytest.mark.parametrize("kind", ["step", "gaussian"])
+def test_empirical_weights_memory_is_a_few_blocks(kind, combine):
+    # 20,000 references and 256 samples make a 41 MB kernel; v_vector holds
+    # a few 128 KB blocks of it, whatever N and t are
+    rng = np.random.default_rng(20)
+    X = rng.random((256, 2))
+    mu = MeasureSpec.empirical(rng.random((20_000, 2)))
+    g = STEP if kind == "step" else GAUSS(0.4)
+    tracemalloc.start()
+    try:
+        v_vector(X, g, mu, combine=combine, normalize=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("mu", [MeasureSpec.unit_box(1), MeasureSpec.unit_box(3),

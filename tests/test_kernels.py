@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cdfsvm.core import GKernelSpec, KernelSpec
+from cdfsvm.core import GKernelSpec, KernelSpec, _mirror
 from cdfsvm.kernels import cross_gram, g_eval, gram, k_eval
 
 
@@ -106,8 +108,15 @@ def one_expression_rbf(X, Z, delta):
     return np.exp(-d2 / (2.0 * delta**2))
 
 
+def triu_mirror(values):
+    return np.triu(values) + np.triu(values, 1).T
+
+
+# rows are built in blocks of 16,384 entries: m = 1000 with t = 40 spans
+# three cross-Gram blocks and its Gram 63 strips, both with a remainder,
+# and t = 16,500 makes every cross-Gram block one row
 @pytest.mark.parametrize("m, t, d", [(160, 40, 2), (480, 120, 10), (2000, 256, 2),
-                                     (7, 1, 3)])
+                                     (7, 1, 3), (1000, 40, 2), (5, 16_500, 2)])
 @pytest.mark.parametrize("delta", [0.25, 0.5, 1.0, 2.0])
 def test_rbf_grams_bit_identical_to_one_expression(m, t, d, delta):
     # the in-place evaluation repeats the expression's operations in order
@@ -115,7 +124,29 @@ def test_rbf_grams_bit_identical_to_one_expression(m, t, d, delta):
     X, Z = rng.normal(size=(m, d)), rng.normal(size=(t, d))
     spec = KernelSpec.rbf(delta)
     assert np.array_equal(cross_gram(spec, X, Z), one_expression_rbf(X, Z, delta))
-    full = one_expression_rbf(X, X, delta)
-    full = np.triu(full) + np.triu(full, 1).T
+    full = triu_mirror(one_expression_rbf(X, X, delta))
     np.fill_diagonal(full, 1.0)
     assert np.array_equal(gram(spec, X).values, full)
+    # compared as int64 views, so the sign of zero counts: a linear Gram on
+    # signed data, and a mirror of planted -0.0 entries, which BLAS
+    # products do not hold
+    linear = triu_mirror(X @ X.T).view(np.int64)
+    assert np.array_equal(gram(KernelSpec.linear(), X).values.view(np.int64), linear)
+    signed = rng.normal(size=(m, m))
+    signed[rng.random((m, m)) < 0.3] = -0.0
+    expected = triu_mirror(signed).view(np.int64)
+    assert np.array_equal(_mirror(signed).view(np.int64), expected)
+
+
+def test_gram_peak_memory_below_two_and_a_quarter_matrices():
+    # the product X X' with one block of scratch, mirrored in place, then
+    # GramMatrix's read-only copy and its m x m boolean symmetry check
+    m = 600
+    X = np.random.default_rng(9).random((m, 2))
+    tracemalloc.start()
+    try:
+        gram(KernelSpec.rbf(0.5), X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * m * m * 8
