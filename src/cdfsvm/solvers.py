@@ -30,6 +30,17 @@ operations, so every result is bit-identical to rebuilding the row on each
 step. The cache holds one m-vector per distinct row visited, at most m^2
 floats (200 KB at m = 160), and costs nothing up front.
 
+At large gamma the rbf Gram is numerically singular and pair steps
+zig-zag for 10^4-10^5 steps, so a fit has two phases. The pair loop runs
+from b = 0 for a budget of pair steps (``_switch_budget``). A fit that
+has not converged or stalled by then is solved by the primal-dual interior
+point of the ``interior`` module, whose dozen or so Newton steps reach the
+neighbourhood of the optimum whatever the conditioning. Its result is
+snapped onto 0 and the bounds, and the same pair loop finishes it to the
+tolerance and decides status, violation and bias. ``max_iter`` counts
+pair steps over both phases. A fit that ends within the budget is the pair
+loop alone, bit for bit.
+
 The weighted epsilon-insensitive dual uses symmetric per-sample boxes
 |b_i| <= gamma*v_i; the hinge-loss dual uses one-sided boxes and eps = 0.
 The closed-form models (vsvm, lssvm, idlssvm) share one system and one
@@ -46,6 +57,7 @@ applies everywhere; the dual fits also keep their box caps and epsilon.
 from __future__ import annotations
 
 import json
+import sys
 import weakref
 from dataclasses import dataclass, fields
 
@@ -95,7 +107,10 @@ class SolverConfig:
     """Dual-solver settings: tradeoff gamma, tube epsilon, stopping rule.
 
     The engine stops once the maximal KKT violation is below ``tolerance``
-    or after ``max_iter`` pair updates. The default 1e-4 is tight enough
+    or after ``max_iter`` pair updates, counted over both of its phases: a
+    fit still unconverged after 25 m pair steps (m^3 / 1600 from m = 200
+    on) switches to an interior point, and the pair loop spends the steps
+    left on finishing its result. The default 1e-4 is tight enough
     that the stopping point, and through it cross-validation's choice of
     gamma, no longer depends on which pair-selection rule the engine uses;
     at 1e-3 it did.
@@ -122,11 +137,25 @@ class SolverConfig:
 
 @dataclass
 class PairwiseResult:
+    """The engine's record of one fit.
+
+    ``status`` is "converged" (KKT violation below the tolerance),
+    "max_iter" (the pair steps ran out) or "stalled" (a pair step could no
+    longer raise the dual, at a kink). ``iterations`` counts pair steps over
+    both phases and ``interior_iterations`` the interior-point iterations,
+    0 when the fit did not switch.
+    """
+
     beta: np.ndarray
     bias: float
-    converged: bool
+    status: str
     iterations: int
     violation: float
+    interior_iterations: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def _pair_argmax(t0, s, t_lo, t_hi, ei, ej, g0, eta):
@@ -194,10 +223,12 @@ _MASK = 1e100  # additive penalty hiding bound-pinned directions from argmax
 _TAU = 1e-12  # curvature floor for the selection when rows coincide (eta_ij = 0)
 
 
-def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
-                    max_iter=100_000) -> PairwiseResult:
+def _pair_loop(K, target, eps, lo, hi, beta, tolerance=1e-4,
+               max_iter=100_000) -> PairwiseResult:
+    """Pair steps from the feasible ``beta`` until the KKT violation is below
+    ``tolerance``, a step stalls, or ``max_iter`` steps have run."""
     m = target.size
-    r = np.array(target, dtype=float)  # target - K@beta, kept incrementally
+    r = target - K @ beta  # kept incrementally; exactly target at beta = 0
     edge = 1e-12 * np.maximum(hi - lo, 1.0)
     hi_edge = hi - edge
     lo_edge = lo + edge
@@ -210,9 +241,9 @@ def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
     # reads its per-pair scalars from Python lists and the rows of K from a
     # list of row views, which is cheaper than indexing numpy arrays element
     # by element or making a new view of K on every step.
-    up_off = -eps - _MASK * (hi_edge <= 0.0)
-    dn_off = -eps - _MASK * (lo_edge >= 0.0)
-    beta = [0.0] * m
+    up_off = np.where(beta >= 0.0, -eps, eps) - _MASK * (beta >= hi_edge)
+    dn_off = np.where(beta > 0.0, eps, -eps) - _MASK * (beta <= lo_edge)
+    beta = beta.tolist()
     eps_l, lo_l, hi_l = eps.tolist(), lo.tolist(), hi.tolist()
     lo_edge_l, hi_edge_l, half_diag_l = lo_edge.tolist(), hi_edge.tolist(), half_diag.tolist()
     rows = list(K)
@@ -228,7 +259,7 @@ def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
     add, subtract, multiply, divide, maximum = (
         np.add, np.subtract, np.multiply, np.divide, np.maximum)
 
-    converged = False
+    status = "max_iter"
     violation = np.inf
     iterations = 0
     while iterations < max_iter:
@@ -239,7 +270,7 @@ def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
         up_i = up_m.item(i)
         violation = up_i + dn_m.item(dn_m.argmax())
         if violation < tolerance:
-            converged = True
+            status = "converged"
             break
 
         # second-order choice of j: the largest predicted gain
@@ -270,7 +301,8 @@ def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
         g0 = r.item(i) - r.item(j)
         t_new, gain = _pair_argmax(t0, s, t_lo, t_hi, eps_l[i], eps_l[j], g0, eta_ij)
         if gain <= 0.0 or t_new == t0:
-            break  # numerically stalled at a kink; KKT gap stays as recorded
+            status = "stalled"  # at a kink; the KKT gap stays as recorded
+            break
         d = t_new - t0
         beta[i] = t_new
         beta[j] = s - t_new
@@ -285,8 +317,60 @@ def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
 
     beta = np.array(beta)
     bias = _recover_bias(beta, target - r, target, eps, lo, hi, edge)
-    return PairwiseResult(beta=beta, bias=bias, converged=converged,
+    return PairwiseResult(beta=beta, bias=bias, status=status,
                           iterations=iterations, violation=float(violation))
+
+
+def _switch_budget(m: int) -> int:
+    """Pair steps before a fit switches to the interior point: 25 m, and
+    m^3 / 1600 from m = 200 on.
+
+    It depends on m alone, so results do not depend on the machine. At
+    m = 160-200 an interior-point solve costs about 13 m pair steps, so a
+    fit switches once it has spent about twice that. The solve is a dozen
+    m x m inverses, so its cost grows as m^3, and so does the budget from
+    m = 200 on: a large fit never trades its steps for seconds of inverses
+    that save less. At m = 400-1,000 the budget costs 2.7-4.8 solves, and
+    from m = 543 on it exceeds the default max_iter, so no such fit switches.
+    """
+    return max(25 * m, m**3 // 1600)
+
+
+def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
+                    max_iter=100_000) -> PairwiseResult:
+    """Maximize the dual to within ``tolerance`` of KKT optimality.
+
+    The pair loop runs from beta = 0 for ``_switch_budget(m)`` steps. A fit
+    still unconverged then is solved by the interior point, snapped, and
+    handed back to the pair loop for the steps left of ``max_iter``; that
+    loop decides status, violation and bias. A fit that converges or stalls
+    within the budget, or any call with max_iter <= budget, is the pair loop
+    alone, bit for bit.
+    """
+    m = target.size
+    budget = _switch_budget(m)
+    res = _pair_loop(K, target, eps, lo, hi, np.zeros(m), tolerance,
+                     min(budget, max_iter))
+    first = res.iterations
+    if res.status == "max_iter" and budget < max_iter:
+        # loaded on the first switch, so importing cdfsvm compiles none of it
+        from .interior import interior_point, snap
+        beta, interior = interior_point(K, target, eps, lo, hi)
+        res = _pair_loop(K, target, eps, lo, hi, snap(beta, lo, hi),
+                         tolerance, max_iter - first)
+        res.iterations += first
+        res.interior_iterations = interior
+    # only an application that imported logging can have enabled its output
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logger = logging.getLogger(__name__)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "pairwise engine: m=%d, %d pair steps before the switch, %d "
+                "interior-point iterations, %d polish steps, %s, violation %.3g",
+                m, first, res.interior_iterations, res.iterations - first,
+                res.status, res.violation)
+    return res
 
 
 def dual_objective(beta, target, epsilon, K) -> float:

@@ -124,6 +124,22 @@ def complementarity_gaps(coef, caps, residual, epsilon):
     return float(free_gap.max(initial=0.0)), float(shortfall.max(initial=0.0))
 
 
+def duality_gap(beta, bias, K, target, eps, lo, hi):
+    """Primal value minus dual value of the engine's QP at (beta, bias).
+
+    With u = target - K beta - bias and the loss h_i(u) = hi_i max(0, u -
+    eps_i) + (-lo_i) max(0, -u - eps_i), the gap is sum_i [h_i(u_i) -
+    (beta_i u_i - eps_i |beta_i|)]. h_i is the largest value of
+    b u - eps_i |b| over b in [lo_i, hi_i], so every term is >= 0 for a
+    feasible beta, and the sum is 0 exactly at an optimum (when sum(beta) = 0).
+    It does not depend on how a solver chose its steps.
+    """
+    beta = np.asarray(beta, dtype=float)
+    u = target - K @ beta - bias
+    loss = hi * np.maximum(0.0, u - eps) + (-lo) * np.maximum(0.0, -u - eps)
+    return float(np.sum(loss - (beta * u - eps * np.abs(beta))))
+
+
 def midpoint_quadrature(fn, lo, hi, n=100_000):
     """Midpoint-rule average of fn over [lo, hi] (the uniform-measure integral)."""
     grid = lo + (hi - lo) * (np.arange(n) + 0.5) / n

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import paired_line_sign_test
+from oracles import duality_gap, paired_line_sign_test
 from scipy.stats import binomtest
 
 
@@ -55,3 +55,13 @@ def test_sign_test_rejects_unpaired_ensembles():
     _, vac = _ensembles(2, 2)
     with pytest.raises(ValueError):
         paired_line_sign_test(acc, vac, 2.0, 0.0)
+
+
+def test_duality_gap_is_zero_at_the_optimum_and_positive_elsewhere():
+    # points 0 and 1 on a linear kernel, eps = 0.25, caps 2: the optimum is
+    # beta = (-0.5, 0.5) with bias 0.25, both residuals on the tube's edge
+    K = np.array([[0.0, 0.0], [0.0, 1.0]])
+    args = (K, np.array([0.0, 1.0]), np.full(2, 0.25), np.full(2, -2.0), np.full(2, 2.0))
+    assert duality_gap([-0.5, 0.5], 0.25, *args) == 0.0
+    # beta = 0 leaves both residuals 0.25 outside the tube, each costing 2 * 0.25
+    assert duality_gap([0.0, 0.0], 0.5, *args) == pytest.approx(1.0)

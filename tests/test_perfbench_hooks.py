@@ -9,9 +9,10 @@ import types
 import numpy as np
 
 import cdfsvm.solvers as solvers
-from cdfsvm.core import Dataset, KernelSpec, normalize
+from cdfsvm.core import Dataset, KernelSpec, normalize, subset
+from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d
 from cdfsvm.kernels import gram
-from cdfsvm.modelsel import METHODS, GridSpec
+from cdfsvm.modelsel import METHODS, GridSpec, WeightConfig, kfold_split
 from cdfsvm.solvers import SolverConfig
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -71,6 +72,46 @@ def test_tracer_patches_install_and_restore():
     assert metrics["solvers.engine_calls"] == (1, "count")
     assert metrics["solvers.engine_iters"] == (engine[0]["iterations"], "count")
     assert metrics["solvers.fit_ms_p50.eps-l1svm"][0] > 0.0
+
+
+def test_tracer_reads_a_fit_that_switches_to_the_interior_point(monkeypatch):
+    # a switched fit is still one engine call inside one fit span, and the
+    # engine's iteration count is its pair steps over both phases
+    data = gen_gaussian_2d(GaussianSpec2D(n=200, seed=10007))
+    train = subset(data, kfold_split(200, 5, 10007, labels=data.labels)[0][0])
+    weights = WeightConfig().weights_for(train.features, data.features, 0.5)
+    results = []
+    engine = solvers._solve_pairwise
+
+    def recorded(*args, **kwargs):
+        results.append(engine(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "_solve_pairwise", recorded)
+    tracer = load_source("tracer")
+    patches = tracer["Patches"]()
+    counters, spans = tracer["FitCounters"](), tracer["Tracer"]()
+    try:
+        counters.install(patches)
+        spans.install(patches)
+        modelsel = tracer["modelsel"]
+        K = modelsel.gram(KernelSpec.rbf(0.25), train.features)
+        model = modelsel.fit_eps_l1_vsvm(train, K, weights,
+                                         SolverConfig(gamma=256.0, epsilon=2.0**-4))
+    finally:
+        patches.restore()
+    (res,) = results
+    assert res.interior_iterations > 0
+    assert res.iterations > solvers._switch_budget(train.m)
+    assert counters.fits == 1 and counters.nonconverged == 0 and model.converged
+    (span,) = [s for s in spans.spans if s["name"] == "solvers.engine"]
+    assert spans.spans[span["parent"]]["name"] == "solvers.fit.eps-l1vsvm"
+    assert (span["iterations"], span["converged"]) == (res.iterations, True)
+    metrics = tracer["layer_metrics"](spans.spans)
+    assert metrics["solvers.engine_calls"] == (1, "count")
+    assert metrics["solvers.engine_iters"] == (res.iterations, "count")
+    assert metrics["solvers.engine_iters.large_gamma"] == (res.iterations, "count")
+    assert metrics["solvers.engine_nonconverged"] == (0, "count")
 
 
 def test_cv_table_makes_one_counted_fit_per_row():

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import logging
 import math
 import weakref
 from dataclasses import fields
@@ -10,18 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import complementarity_gaps, qp_reference, random_instance
+from oracles import complementarity_gaps, duality_gap, qp_reference, random_instance
 
 from cdfsvm import solvers
 from cdfsvm.core import (Dataset, GKernelSpec, KernelSpec, Scaler, decide, normalize,
                          subset)
 from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d
 from cdfsvm.distribution import MeasureSpec, VMatrix, VWeights, v_matrix
+from cdfsvm.interior import interior_point, snap
 from cdfsvm.kernels import cross_gram, gram
 from cdfsvm.modelsel import METHODS, WeightConfig, fit_full, kfold_split
 from cdfsvm.solvers import (_MASK, _TAU, KernelModel, PairwiseResult,
-                            SingularSystemError, SolverConfig, _recover_bias,
-                            _solve_pairwise, dual_objective, fit_csvm,
+                            SingularSystemError, SolverConfig, _pair_loop,
+                            _recover_bias, _solve_pairwise, _switch_budget,
+                            dual_objective, fit_csvm,
                             fit_eps_l1_svm, fit_eps_l1_vsvm, fit_idlssvm,
                             fit_lssvm, fit_vsvm, load_model, predict,
                             save_model, _density_weights)
@@ -204,6 +207,8 @@ def test_monotone_ascent(monkeypatch):
                           -np.full(25, 4.0), np.full(25, 4.0),
                           tolerance=1e-8, max_iter=100_000)
     assert res.converged
+    # within the switch budget, so every change of beta is a pair step
+    assert res.interior_iterations == 0 and res.iterations < _switch_budget(25)
     # the last iteration only finds the KKT gap closed; each earlier one steps
     assert len(gains) == res.iterations - 1
     assert np.all(np.asarray(gains) > 0.0)  # every pair update strictly increases the dual
@@ -332,11 +337,11 @@ def test_engine_matches_oracle_on_degenerate_instances(family, data):
     assert ours == pytest.approx(ref, abs=1e-6)
 
 
-def large_gamma_tube_cell():
-    """Fold 0 of a 5-fold CV cell on gauss2d n=200 (seed 10007): rbf
-    delta=0.25, default weights; fitted at gamma=256 and eps=2^-4."""
-    data = gen_gaussian_2d(GaussianSpec2D(n=200, seed=10007))
-    train_idx, _ = kfold_split(200, 5, 10007, labels=data.labels)[0]
+def large_gamma_tube_cell(seed=10007, fold=0):
+    """One fold of a 5-fold CV cell on gauss2d n=200: rbf delta=0.25,
+    default weights; fitted at gamma=256 and eps=2^-4."""
+    data = gen_gaussian_2d(GaussianSpec2D(n=200, seed=seed))
+    train_idx, _ = kfold_split(200, 5, seed, labels=data.labels)[fold]
     train = subset(data, train_idx)
     K = gram(KernelSpec.rbf(0.25), train.features)
     weights = WeightConfig().weights_for(train.features, data.features, 0.5)
@@ -349,6 +354,72 @@ def test_default_tolerance_converges_on_large_gamma_tube_cell():
     model = fit_eps_l1_vsvm(train, K, weights,
                             SolverConfig(gamma=256.0, epsilon=2.0**-4))
     assert model.converged
+
+
+def tube_cell_args(train, K, weights):
+    """The engine's (K, target, eps, lo, hi) for a cell at gamma=256, eps=2^-4."""
+    caps = 256.0 * weights.values
+    return (K.values, train.labels.astype(float), np.full(train.m, 2.0**-4),
+            -caps, caps)
+
+
+def test_switched_fit_converges_where_the_pair_loop_hits_max_iter(monkeypatch):
+    # fold 4 of the seed-20014 cell: the pair loop alone stops at max_iter
+    # with violation 5.5e-4
+    train, K, weights = large_gamma_tube_cell(seed=20014, fold=4)
+    cfg = SolverConfig(gamma=256.0, epsilon=2.0**-4)
+    results = []
+    engine = solvers._solve_pairwise
+
+    def recorded(*args, **kwargs):
+        results.append(engine(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "_solve_pairwise", recorded)
+    model = fit_eps_l1_vsvm(train, K, weights, cfg)
+    (res,) = results
+    assert model.converged and res.status == "converged"
+    assert res.interior_iterations > 0 and res.iterations < cfg.max_iter
+    args = tube_cell_args(train, K, weights)
+    cold = cold_loop(*args, max_iter=cfg.max_iter)
+    assert cold.status == "max_iter"
+    assert (dual_objective(model.coefficients, args[1], cfg.epsilon, K.values)
+            >= dual_objective(cold.beta, args[1], cfg.epsilon, K.values))
+
+
+def test_switched_fit_has_no_larger_duality_gap_than_the_pair_loop():
+    train, K, weights = large_gamma_tube_cell()
+    args = tube_cell_args(train, K, weights)
+    hybrid, cold = _solve_pairwise(*args), cold_loop(*args)
+    assert hybrid.interior_iterations > 0 and hybrid.converged and cold.converged
+
+    def relative_gap(res):
+        W = dual_objective(res.beta, args[1], 2.0**-4, K.values)
+        return duality_gap(res.beta, res.bias, *args) / max(1.0, abs(W))
+
+    assert 0.0 <= relative_gap(hybrid) <= relative_gap(cold)
+
+
+def test_engine_logs_one_debug_line_per_call(caplog):
+    train, K, weights = large_gamma_tube_cell()
+    args = tube_cell_args(train, K, weights)
+    with caplog.at_level(logging.INFO, logger="cdfsvm.solvers"):
+        _solve_pairwise(*args)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="cdfsvm.solvers"):
+        res = _solve_pairwise(*args)
+        quick = _solve_pairwise(*args, max_iter=3)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+    budget = _switch_budget(train.m)
+    assert caplog.records[0].getMessage() == (
+        f"pairwise engine: m={train.m}, {budget} pair steps before the switch, "
+        f"{res.interior_iterations} interior-point iterations, "
+        f"{res.iterations - budget} polish steps, converged, "
+        f"violation {res.violation:.3g}")
+    assert caplog.records[1].getMessage() == (
+        f"pairwise engine: m={train.m}, 3 pair steps before the switch, "
+        f"0 interior-point iterations, 0 polish steps, max_iter, "
+        f"violation {quick.violation:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +475,7 @@ def reference_solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
     add, subtract, multiply, divide, maximum = (
         np.add, np.subtract, np.multiply, np.divide, np.maximum)
 
-    converged = False
+    status = "max_iter"
     violation = np.inf
     iterations = 0
     while iterations < max_iter:
@@ -415,7 +486,7 @@ def reference_solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
         up_i = up_m[i]
         violation = up_i + dn_m[dn_m.argmax()]
         if violation < tolerance:
-            converged = True
+            status = "converged"
             break
 
         # second-order choice of j: the largest predicted gain
@@ -441,7 +512,8 @@ def reference_solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
         g0 = r.item(i) - r.item(j)
         t_new, gain = reference_pair_argmax(t0, s, t_lo, t_hi, eps_l[i], eps_l[j], g0, eta_ij)
         if gain <= 0.0 or t_new == t0:
-            break  # numerically stalled at a kink; KKT gap stays as recorded
+            status = "stalled"  # numerically stalled at a kink; KKT gap stays as recorded
+            break
         d = t_new - t0
         beta[i] = t_new
         beta[j] = s - t_new
@@ -456,8 +528,13 @@ def reference_solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
 
     beta = np.array(beta)
     bias = _recover_bias(beta, target - r, target, eps, lo, hi, edge)
-    return PairwiseResult(beta=beta, bias=bias, converged=converged,
+    return PairwiseResult(beta=beta, bias=bias, status=status,
                           iterations=iterations, violation=float(violation))
+
+
+def cold_loop(K, target, eps, lo, hi, **kw):
+    """The pair loop alone, from beta = 0."""
+    return _pair_loop(K, target, eps, lo, hi, np.zeros(target.size), **kw)
 
 
 def assert_same_result(res, ref):
@@ -471,7 +548,7 @@ def assert_same_result(res, ref):
 @given(data=st.data())
 def test_engine_matches_reference_loop_on_degenerate_instances(family, data):
     args = data.draw(engine_instances(family))
-    assert_same_result(_solve_pairwise(*args), reference_solve_pairwise(*args))
+    assert_same_result(cold_loop(*args), reference_solve_pairwise(*args))
 
 
 @pytest.mark.parametrize("family", DEGENERATE)
@@ -479,8 +556,8 @@ def test_engine_matches_reference_loop_on_seeded_instances(family):
     rng = np.random.default_rng(DEGENERATE.index(family) + 31)
     for _ in range(40):
         args = seeded_engine_instance(rng, family)
-        assert_same_result(_solve_pairwise(*args), reference_solve_pairwise(*args))
-        assert_same_result(_solve_pairwise(*args, **TIGHT),
+        assert_same_result(cold_loop(*args), reference_solve_pairwise(*args))
+        assert_same_result(cold_loop(*args, **TIGHT),
                            reference_solve_pairwise(*args, **TIGHT))
 
 
@@ -489,12 +566,75 @@ def test_engine_matches_reference_loop_on_large_gamma_tube_cell():
     train, K, weights = large_gamma_tube_cell()
     caps = 256.0 * weights.values
     args = (K.values, train.labels.astype(float), np.full(train.m, 2.0**-4), -caps, caps)
-    res = _solve_pairwise(*args)
+    res = cold_loop(*args)
     assert res.converged
     assert_same_result(res, reference_solve_pairwise(*args))
-    capped = _solve_pairwise(*args, max_iter=res.iterations // 2)
+    capped = cold_loop(*args, max_iter=res.iterations // 2)
     assert not capped.converged and capped.iterations == res.iterations // 2
     assert_same_result(capped, reference_solve_pairwise(*args, max_iter=res.iterations // 2))
+
+
+@pytest.mark.parametrize("family", DEGENERATE)
+def test_engine_is_the_pair_loop_within_the_switch_budget(family):
+    # a fit that ends within the budget, and any call capped at it, never
+    # reaches the interior point
+    rng = np.random.default_rng(DEGENERATE.index(family) + 31)
+    for _ in range(40):
+        args = seeded_engine_instance(rng, family)
+        budget = _switch_budget(args[1].size)
+        for kw in ({}, TIGHT):
+            cold, res = cold_loop(*args, **kw), _solve_pairwise(*args, **kw)
+            if cold.iterations <= budget and cold.status != "max_iter":
+                assert_same_result(res, cold)
+                assert res.interior_iterations == 0
+            else:
+                assert res.interior_iterations > 0 and res.iterations > budget
+            capped = dict(kw, max_iter=budget)
+            assert_same_result(_solve_pairwise(*args, **capped), cold_loop(*args, **capped))
+
+
+def test_engine_is_the_pair_loop_up_to_the_budget_on_large_gamma_tube_cell():
+    train, K, weights = large_gamma_tube_cell()
+    args = tube_cell_args(train, K, weights)
+    budget = _switch_budget(train.m)
+    res = _solve_pairwise(*args, max_iter=budget)
+    assert res.status == "max_iter" and res.interior_iterations == 0
+    assert_same_result(res, cold_loop(*args, max_iter=budget))
+
+
+@pytest.mark.parametrize("family", DEGENERATE)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_engine_status_and_duality_gap_on_degenerate_instances(family, data):
+    args = data.draw(engine_instances(family))
+    tolerance = data.draw(st.sampled_from([1e-12, 1e-4]))
+    max_iter = data.draw(st.sampled_from([100_000, 300, 5]))
+    res = _solve_pairwise(*args, tolerance=tolerance, max_iter=max_iter)
+    assert res.converged == (res.status == "converged") == (res.violation < tolerance)
+    if not res.converged:  # a fit may also converge on its last step
+        assert (res.status == "max_iter") == (res.iterations == max_iter)
+        assert res.status in ("max_iter", "stalled")
+    assert 1 <= res.iterations <= max_iter
+    # the certificate holds for every feasible beta, switched or not
+    assert duality_gap(res.beta, res.bias, *args) >= -1e-9
+
+
+@pytest.mark.parametrize("family", DEGENERATE)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_switched_path_matches_oracle_on_degenerate_instances(family, data):
+    # the path a fit takes after the switch, forced on every instance: the
+    # snapped interior point is feasible, and the pair loop finishes it
+    K, target, eps, lo, hi = args = data.draw(engine_instances(family))
+    beta, iterations = interior_point(*args)
+    start = snap(beta, lo, hi)
+    assert iterations > 0
+    assert np.all(start >= lo) and np.all(start <= hi)
+    assert abs(float(start.sum())) < 1e-12 * max(1.0, float(np.abs(start).max()))
+    res = _pair_loop(*args, start, **TIGHT)
+    assert duality_gap(res.beta, res.bias, *args) >= -1e-9
+    ref, _, _ = qp_reference(K, target, eps[0], hi, caps_neg=-lo)
+    assert dual_objective(res.beta, target, eps[0], K) == pytest.approx(ref, abs=1e-6)
 
 
 def test_pair_argmax_matches_reference_on_edge_cases():
