@@ -13,13 +13,12 @@ from .core import (Dataset, GKernelSpec, KernelSpec, Scaler, decide, normalize,
 from .datagen import (GaussianSpec2D, Robustness1DSpec, bayes_boundary_2d,
                       bayes_posterior, gen_gaussian_2d, gen_robustness_1d,
                       load_csv, save_csv)
-from .distribution import (MeasureSpec, VMatrix, VWeights, v_empirical,
-                           v_gaussian_step, v_matrix, v_uniform_gaussian,
-                           v_vector, weights_to_csv)
+from .distribution import (MeasureSpec, VMatrix, VWeights, v_matrix, v_vector,
+                           weights_to_csv)
 from .evaluation import (BoundaryLine, EvalReport, accuracy,
                          boundary_from_linear, confusion_counts,
                          dist_to_bayes, evaluate, gmean, vac)
-from .kernels import GramMatrix, cross_gram, g_eval, gram, k_eval
+from .kernels import GramMatrix, cross_gram, gram
 from .modelsel import (GridSpec, METHODS, WeightConfig, cv_table, fit_full,
                        grid_search, kfold_split, select_best)
 from .solvers import (KernelModel, SingularSystemError, SolverConfig,

@@ -1,10 +1,11 @@
-"""Distribution weights: per-sample v-vectors, out-of-sample v-values, V-matrices.
+"""Distribution weights: v-vectors and V-matrices of a sample set.
 
 A weight is the integral of a distribution kernel G centered at a sample
-against a measure mu. Closed forms cover the gaussian and step kernels
-against uniform-box and gaussian measures; the empirical measure averages
-the kernel over a reference sample; the degenerate point-mass measure
-yields the all-ones vector (no distribution information).
+against a measure mu; one point's weight is ``v_vector`` on a one-row
+sample with ``normalize=False``. Closed forms cover the gaussian and step
+kernels against uniform-box and gaussian measures; the empirical measure
+averages the kernel over a reference sample; the degenerate point-mass
+measure yields the all-ones vector (no distribution information).
 
 For the gaussian-kernel/uniform-box pair the exact integral is used,
 
@@ -43,10 +44,7 @@ __all__ = [
     "MeasureSpec",
     "VMatrix",
     "VWeights",
-    "v_empirical",
-    "v_gaussian_step",
     "v_matrix",
-    "v_uniform_gaussian",
     "v_vector",
     "weights_to_csv",
 ]
@@ -202,7 +200,7 @@ class VMatrix:
 
 
 # ---------------------------------------------------------------------------
-# one-dimensional closed-form integrals
+# one-dimensional closed-form integrals and empirical kernel sums
 
 def _per_dim_integrals(x, g: GKernelSpec, mu: MeasureSpec, k=slice(None)) -> np.ndarray:
     """int G(u - x) dmu_k(u) for each coordinate of x, for a parametric mu.
@@ -236,42 +234,6 @@ def _per_dim_integrals(x, g: GKernelSpec, mu: MeasureSpec, k=slice(None)) -> np.
         return ndtr((mean - x) / std)
     var = g.sigma**2 + std**2
     return (g.sigma / np.sqrt(var)) * np.exp(-((x - mean) ** 2) / (2.0 * var))
-
-
-# ---------------------------------------------------------------------------
-# single-point estimators
-
-def _point_weight(x, g: GKernelSpec, mu: MeasureSpec, combine: str) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(v_vector(x[None, :], g, mu, combine, normalize=False).values[0])
-
-
-def v_gaussian_step(mu: MeasureSpec, x) -> float:
-    """Weight of a point under the step kernel and a gaussian measure.
-
-    Product over dimensions of the normal mass at or above x_k,
-    Phi((mean_k - x_k) / std_k), the same u >= x direction as the step
-    kernel itself.
-    """
-    if mu.kind != "gaussian":
-        raise ValueError("v_gaussian_step needs a gaussian measure")
-    return _point_weight(x, GKernelSpec.step(), mu, "product")
-
-
-def v_uniform_gaussian(mu: MeasureSpec, g: GKernelSpec, x, combine: str = "product") -> float:
-    """Weight of a point under the gaussian kernel and a uniform-box measure."""
-    if mu.kind != "uniform_box":
-        raise ValueError("v_uniform_gaussian needs a uniform_box measure")
-    if g.kind != "gaussian":
-        raise ValueError("v_uniform_gaussian needs a gaussian distribution kernel")
-    return _point_weight(x, g, mu, combine)
-
-
-def v_empirical(mu: MeasureSpec, g: GKernelSpec, x, combine: str = "product") -> float:
-    """Weight of a point under an empirical measure: average kernel value."""
-    if mu.kind != "empirical":
-        raise ValueError("v_empirical needs an empirical measure")
-    return _point_weight(x, g, mu, combine)
 
 
 def _kernel_block(out, columns, g, refs, combine):

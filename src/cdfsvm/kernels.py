@@ -1,8 +1,9 @@
-"""Kernel evaluation and Gram-matrix construction.
+"""Solution-kernel matrices: the cross-Gram of two sample sets and the Gram of one.
 
-The rbf kernel uses the 2*delta**2 denominator, so bandwidth grids expressed
-as powers of two apply directly. Gram matrices are exactly symmetric by
-construction (upper triangle mirrored) and carry a unit diagonal for rbf.
+A single pair's K(x, x') is the 1 x 1 cross-Gram. The rbf kernel uses the
+2*delta**2 denominator, so bandwidth grids expressed as powers of two apply
+directly. Gram matrices are exactly symmetric by construction (upper
+triangle mirrored) and carry a unit diagonal for rbf.
 """
 
 from __future__ import annotations
@@ -11,39 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GKernelSpec, KernelSpec, _block_rows, _frozen_symmetric, _mirror
+from .core import KernelSpec, _block_rows, _frozen_symmetric, _mirror
 
-__all__ = ["GramMatrix", "cross_gram", "g_eval", "gram", "k_eval"]
-
-
-def _check_pair(x, xp):
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    if x.ndim != 1 or xp.ndim != 1 or x.shape != xp.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {xp.shape}")
-    return x, xp
-
-
-def k_eval(spec: KernelSpec, x, xp) -> float:
-    """Evaluate the solution kernel K(x, x') for a single pair."""
-    x, xp = _check_pair(x, xp)
-    if spec.kind == "linear":
-        return float(x @ xp)
-    d2 = float(np.sum((x - xp) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.delta**2)))
-
-
-def g_eval(spec: GKernelSpec, u, x) -> float:
-    """Evaluate the distribution kernel G(u - x) for a single pair.
-
-    Step: 1 iff u >= x coordinate-wise (closed comparison).
-    Gaussian: product over dimensions of exp(-(u_k - x_k)^2 / (2 sigma^2)).
-    """
-    u, x = _check_pair(u, x)
-    if spec.kind == "step":
-        return float(np.all(u >= x))
-    d2 = float(np.sum((u - x) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
+__all__ = ["GramMatrix", "cross_gram", "gram"]
 
 
 def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:

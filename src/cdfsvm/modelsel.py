@@ -198,8 +198,10 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
              wcfg: WeightConfig = WeightConfig()):
     """Evaluate every grid cell on every fold.
 
-    Returns one row per (cell, fold) carrying both indicators; failed fits
-    mark the row invalid instead of aborting the search.
+    Returns one row per (cell, fold) carrying both indicators. A fit that
+    raised marks its row invalid instead of aborting the search; ``valid``
+    means the fit returned and was scored, and ``converged`` copies the
+    model's flag (False for a row that is not valid).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -239,10 +241,10 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
                             cell["acc"] = accuracy(y_val, pred)
                             cell["vac"] = (vac(y_val, pred, v_val)
                                            if vac_defined else np.nan)
-                            cell["valid"] = True
+                            cell.update(valid=True, converged=model.converged)
                         except (SolverError, ValueError) as exc:
                             cell.update(acc=np.nan, vac=np.nan, valid=False,
-                                        error=str(exc))
+                                        converged=False, error=str(exc))
                         rows.append(cell)
     return rows
 
@@ -263,7 +265,9 @@ def select_best(rows, indicator: str):
     """Mean CV score per cell; argmax with ties toward smaller parameters.
 
     Means equal in exact arithmetic tie whatever the order of their folds.
-    Cells with any failed fold or an undefined (NaN) score are skipped.
+    Cells with any failed or non-converged fold, or an undefined (NaN)
+    score, are skipped: a fit stopped at ``max_iter`` is not the model the
+    cell names.
     """
     if indicator not in ("acc", "vac"):
         raise ValueError(f"unknown indicator {indicator!r}")
@@ -273,7 +277,8 @@ def select_best(rows, indicator: str):
     for row in rows:
         key = _cell_key(row)
         params.setdefault(key, {k: row[k] for k in ("gamma", "delta", "epsilon", "sigma")})
-        if not row["valid"]:
+        # a row built without the converged column counts as converged
+        if not (row["valid"] and row.get("converged", True)):
             bad.add(key)
             continue
         cells.setdefault(key, []).append(row[indicator])
@@ -288,7 +293,8 @@ def select_best(rows, indicator: str):
     if best_key is None:
         raise SolverError(
             f"no usable grid cell for indicator {indicator!r} "
-            "(fits failed or the indicator is undefined for these weights)")
+            "(fits failed or did not converge, or the indicator is undefined "
+            "for these weights)")
     return params[best_key], best_score
 
 
@@ -312,7 +318,8 @@ def grid_search(data: Dataset, method: str, grid: GridSpec,
 
 def rows_to_csv(rows, path, header_comment: str = "") -> None:
     """One CSV row per grid cell per fold."""
-    columns = ("gamma", "delta", "epsilon", "sigma", "fold", "acc", "vac", "valid")
+    columns = ("gamma", "delta", "epsilon", "sigma", "fold", "acc", "vac", "valid",
+               "converged")
     write_csv(path, columns, ([row.get(col, "") for col in columns] for row in rows),
               header_comment)
 

@@ -391,7 +391,8 @@ class KernelModel:
     Every fit returns one. The dual-QP fits also keep their box caps and tube
     epsilon, and construction then checks feasibility (|a_i| <= cap_i) and
     the zero-sum constraint; closed-form fits leave both None. Coefficients
-    and intercept must be finite.
+    and the numeric scalars must be finite, ``converged`` a bool and
+    ``method`` a str; a wrongly typed field raises TypeError.
 
     The fields keep every training row, zero coefficients included, so the
     dual objective, cross-validation scoring and the saved JSON see the
@@ -420,9 +421,22 @@ class KernelModel:
         coef, support = arrays["coefficients"], arrays["support"]
         if coef.ndim != 1 or support.ndim != 2 or coef.size != support.shape[0]:
             raise ValueError("coefficient/support shape mismatch")
-        intercept = float(self.intercept)
-        if not (np.all(np.isfinite(coef)) and np.isfinite(intercept)):
-            raise ValueError("non-finite coefficients or intercept")
+        if not np.all(np.isfinite(coef)):
+            raise ValueError("non-finite coefficients")
+        if not isinstance(self.method, str):
+            raise TypeError(f"method must be a str, got {self.method!r}")
+        if not isinstance(self.converged, bool):
+            raise TypeError(f"converged must be a bool, got {self.converged!r}")
+        for name in ("intercept", "score_scale", "score_shift", "epsilon"):
+            value = getattr(self, name)
+            if name == "epsilon" and value is None:  # closed-form fits have none
+                continue
+            if isinstance(value, str):  # float() would parse it
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            value = float(value)
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite {name}")
+            object.__setattr__(self, name, value)
         if self.caps is not None:
             caps = arrays["caps"] = np.array(self.caps, dtype=float)
             if caps.shape != coef.shape:
@@ -436,7 +450,6 @@ class KernelModel:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "intercept", intercept)
 
 
 def predict(model: KernelModel, X) -> np.ndarray:

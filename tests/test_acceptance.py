@@ -17,8 +17,7 @@ from oracles import (complementarity_gaps, midpoint_quadrature,
 from cdfsvm.bench import run_bayes_benchmark, run_uci_benchmark, total_variation
 from cdfsvm.core import Dataset, GKernelSpec, KernelSpec, normalize
 from cdfsvm.datagen import Robustness1DSpec, gen_robustness_1d, save_csv
-from cdfsvm.distribution import (MeasureSpec, VWeights, v_gaussian_step,
-                                 v_matrix, v_uniform_gaussian, v_vector)
+from cdfsvm.distribution import MeasureSpec, VWeights, v_matrix, v_vector
 from cdfsvm.evaluation import accuracy, dist_to_bayes, vac
 from cdfsvm.kernels import gram
 from cdfsvm.modelsel import GridSpec, WeightConfig
@@ -253,7 +252,7 @@ def test_criterion_7_weight_numerics():
     mu = MeasureSpec.uniform_box([1.0])
     worst = 0.0
     for x in np.linspace(-1.0, 1.0, 20):
-        val = v_uniform_gaussian(mu, g, [x])
+        val = v_vector(np.array([[x]]), g, mu, normalize=False).values[0]
         quad = midpoint_quadrature(
             lambda u: np.exp(-((u - x) ** 2) / (2 * 0.7**2)), -1.0, 1.0)
         worst = max(worst, abs(val - quad))
@@ -274,7 +273,9 @@ def test_criterion_7_weight_numerics():
     assert np.allclose(V, brute, rtol=1e-12, atol=1e-15)
 
     gauss_mu = MeasureSpec.gaussian([0.37], [0.81])
-    assert abs(v_gaussian_step(gauss_mu, [0.37]) - 0.5) < 1e-12
+    step_at_mean = v_vector(np.array([[0.37]]), GKernelSpec.step(), gauss_mu,
+                            normalize=False).values[0]
+    assert abs(step_at_mean - 0.5) < 1e-12
     report("7 (weight numerics)",
            f"quadrature gap {worst:.2e}; V-matrix matches brute force; "
            "step weight at the mean = 1/2")

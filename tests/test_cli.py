@@ -159,7 +159,10 @@ def test_fit_test_file_vac_normalizes_over_whole_sample(tmp_path):
     (lambda doc: {**doc, "kernel": {}}, "malformed model document"),
     (lambda doc: {**doc, "scaler": [0.0]}, "malformed model document"),
     (lambda doc: {**doc, "intercept": [0.5]}, "malformed model document"),
-], ids=["not-object", "version-1", "missing-fields", "kernel", "scaler", "intercept"])
+    (lambda doc: {**doc, "score_scale": "2"}, "malformed model document"),
+    (lambda doc: {**doc, "converged": "false"}, "malformed model document"),
+], ids=["not-object", "version-1", "missing-fields", "kernel", "scaler", "intercept",
+        "score-scale-str", "converged-str"])
 def test_predict_malformed_model_is_an_error(tmp_path, capsys, edit, message):
     csv_path = tmp_path / "toy.csv"
     make_toy_csv(csv_path, seed=9)

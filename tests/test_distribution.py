@@ -8,9 +8,8 @@ from scipy.special import erf, ndtr
 
 from cdfsvm import distribution
 from cdfsvm.core import GKernelSpec
-from cdfsvm.distribution import (MeasureSpec, VWeights, v_empirical,
-                                 v_gaussian_step, v_matrix,
-                                 v_uniform_gaussian, v_vector, weights_to_csv)
+from cdfsvm.distribution import (MeasureSpec, VWeights, v_matrix, v_vector,
+                                 weights_to_csv)
 
 GAUSS = GKernelSpec.gaussian
 STEP = GKernelSpec.step()
@@ -28,51 +27,56 @@ def test_measure_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# v_gaussian_step
+# one point's weight, v_vector on a one-row sample: the step kernel against a
+# gaussian measure
 
 def test_v_gaussian_step_at_mean():
     mu = MeasureSpec.gaussian([1.3], [0.4])
-    assert v_gaussian_step(mu, [1.3]) == pytest.approx(0.5, abs=1e-12)
+    val = v_vector(np.array([[1.3]]), STEP, mu, normalize=False).values[0]
+    assert val == pytest.approx(0.5, abs=1e-12)
 
 
 def test_v_gaussian_step_limit():
     mu = MeasureSpec.gaussian([0.0], [1.0])
-    assert v_gaussian_step(mu, [-40.0]) == pytest.approx(1.0, abs=1e-12)
+    val = v_vector(np.array([[-40.0]]), STEP, mu, normalize=False).values[0]
+    assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_v_gaussian_step_2d_product_of_halves():
     mu = MeasureSpec.gaussian([0.2, -1.0], [0.5, 2.0])
-    assert v_gaussian_step(mu, [0.2, -1.0]) == pytest.approx(0.25, abs=1e-12)
+    val = v_vector(np.array([[0.2, -1.0]]), STEP, mu, normalize=False).values[0]
+    assert val == pytest.approx(0.25, abs=1e-12)
 
 
 def test_v_gaussian_step_monotone_1d():
     mu = MeasureSpec.gaussian([0.3], [0.7])
     xs = np.linspace(-2.0, 2.0, 41)
-    vals = [v_gaussian_step(mu, [x]) for x in xs]
+    vals = [v_vector(np.array([[x]]), STEP, mu, normalize=False).values[0] for x in xs]
     assert np.all(np.diff(vals) <= 0.0)
 
 
 # ---------------------------------------------------------------------------
-# v_uniform_gaussian
+# the gaussian kernel against a uniform-box measure
 
 def test_v_uniform_gaussian_flat_kernel_limit():
     mu = MeasureSpec.uniform_box([1.0])
     wide = GAUSS(1e4)
-    ratio = v_uniform_gaussian(mu, wide, [0.0]) / v_uniform_gaussian(mu, wide, [1.0])
+    ratio = (v_vector(np.array([[0.0]]), wide, mu, normalize=False).values[0]
+             / v_vector(np.array([[1.0]]), wide, mu, normalize=False).values[0])
     assert ratio == pytest.approx(1.0, abs=1e-6)
 
 
 def test_v_uniform_gaussian_center_beats_edge():
     mu = MeasureSpec.uniform_box([1.0])
     for sigma in (0.1, 0.5, 1.0, 4.0):
-        assert (v_uniform_gaussian(mu, GAUSS(sigma), [0.0])
-                > v_uniform_gaussian(mu, GAUSS(sigma), [1.0]))
+        assert (v_vector(np.array([[0.0]]), GAUSS(sigma), mu, normalize=False).values[0]
+                > v_vector(np.array([[1.0]]), GAUSS(sigma), mu, normalize=False).values[0])
 
 
 def test_v_uniform_gaussian_matches_quadrature():
     mu = MeasureSpec.uniform_box([1.0])
     g = GAUSS(1.0)
-    val = v_uniform_gaussian(mu, g, [0.0])
+    val = v_vector(np.array([[0.0]]), g, mu, normalize=False).values[0]
     quad = midpoint_quadrature(lambda u: np.exp(-(u**2) / 2.0), -1.0, 1.0)
     assert val == pytest.approx(quad, abs=1e-6)
 
@@ -81,8 +85,8 @@ def test_v_uniform_gaussian_symmetric_about_center():
     mu = MeasureSpec.uniform_box([0.5], center=[0.5])
     g = GAUSS(0.3)
     for x in (0.1, 0.27, 0.42):
-        left = v_uniform_gaussian(mu, g, [0.5 - x])
-        right = v_uniform_gaussian(mu, g, [0.5 + x])
+        left = v_vector(np.array([[0.5 - x]]), g, mu, normalize=False).values[0]
+        right = v_vector(np.array([[0.5 + x]]), g, mu, normalize=False).values[0]
         assert abs(left - right) < 1e-12
 
 
@@ -90,7 +94,7 @@ def test_v_uniform_gaussian_unimodal_peak_at_center():
     mu = MeasureSpec.uniform_box([0.5], center=[0.5])
     g = GAUSS(0.3)
     xs = np.linspace(0.0, 1.0, 101)
-    vals = np.array([v_uniform_gaussian(mu, g, [x]) for x in xs])
+    vals = np.array([v_vector(np.array([[x]]), g, mu, normalize=False).values[0] for x in xs])
     assert np.argmax(vals) == 50
     assert np.all(np.diff(vals[:51]) > 0.0) and np.all(np.diff(vals[50:]) < 0.0)
 
@@ -98,25 +102,26 @@ def test_v_uniform_gaussian_unimodal_peak_at_center():
 def test_v_uniform_gaussian_additive_combines_by_mean():
     mu = MeasureSpec.uniform_box([0.5, 0.5])
     g = GAUSS(0.4)
-    x = [0.2, -0.3]
-    parts = [v_uniform_gaussian(MeasureSpec.uniform_box([0.5]), g, [xi]) for xi in x]
-    assert v_uniform_gaussian(mu, g, x, combine="product") == pytest.approx(
-        parts[0] * parts[1], rel=1e-12)
-    assert v_uniform_gaussian(mu, g, x, combine="additive") == pytest.approx(
-        0.5 * (parts[0] + parts[1]), rel=1e-12)
+    x = np.array([0.2, -0.3])
+    parts = [v_vector(np.array([[xi]]), g, MeasureSpec.uniform_box([0.5]),
+                      normalize=False).values[0] for xi in x]
+    product = v_vector(x[None, :], g, mu, "product", normalize=False).values[0]
+    additive = v_vector(x[None, :], g, mu, "additive", normalize=False).values[0]
+    assert product == pytest.approx(parts[0] * parts[1], rel=1e-12)
+    assert additive == pytest.approx(0.5 * (parts[0] + parts[1]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# v_empirical
+# an empirical measure: the average kernel value
 
 def test_v_empirical_single_reference():
     mu = MeasureSpec.empirical([[0.4, 0.6]])
-    assert v_empirical(mu, GAUSS(1.0), [0.4, 0.6]) == 1.0
+    assert v_vector(np.array([[0.4, 0.6]]), GAUSS(1.0), mu, normalize=False).values[0] == 1.0
 
 
 def test_v_empirical_step_below_all_references():
     mu = MeasureSpec.empirical([[0.5, 0.5], [0.9, 0.7]])
-    assert v_empirical(mu, STEP, [0.1, 0.2]) == 1.0
+    assert v_vector(np.array([[0.1, 0.2]]), STEP, mu, normalize=False).values[0] == 1.0
 
 
 def test_v_empirical_matches_direct_summation():
@@ -125,7 +130,8 @@ def test_v_empirical_matches_direct_summation():
     x = rng.random(3)
     mu = MeasureSpec.empirical(refs)
     direct = np.mean([np.exp(-np.sum((r - x) ** 2) / 2.0) for r in refs])
-    assert v_empirical(mu, GAUSS(1.0), x) == pytest.approx(direct, rel=1e-12)
+    val = v_vector(x[None, :], GAUSS(1.0), mu, normalize=False).values[0]
+    assert val == pytest.approx(direct, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +157,7 @@ def test_v_vector_empirical_matches_per_entry():
     mu = MeasureSpec.empirical(rng.random((11, 2)))
     g = GAUSS(0.6)
     weights = v_vector(X, g, mu, normalize=False)
-    per_entry = np.array([v_empirical(mu, g, x) for x in X])
+    per_entry = np.array([v_vector(x[None, :], g, mu, normalize=False).values[0] for x in X])
     assert np.allclose(weights.values, per_entry, atol=1e-14)
 
 
@@ -278,7 +284,7 @@ def test_empirical_weights_bit_identical():
                 assert np.allclose(got, W.mean(axis=0), rtol=1e-15, atol=0.0)
                 continue
             assert np.array_equal(got, W.mean(axis=0)), (d, combine, kind)
-            assert (v_empirical(mu, g, X[7], combine)
+            assert (v_vector(X[7][None, :], g, mu, combine, normalize=False).values[0]
                     == single[combine, kind].mean(axis=0)[0]), (d, combine, kind)
             if combine == "product":
                 W = W.astype(float)

@@ -1,17 +1,21 @@
-"""What a fresh interpreter loads: no scipy until a parametric path runs.
+"""What the package exports, and what a fresh interpreter loads.
 
 The pytest process has scipy loaded already (test modules import it), so the
-check runs in a subprocess with only ``src`` on the path.
+no-scipy check runs in a subprocess with only ``src`` on the path.
 """
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
 
 import numpy as np
 
+import cdfsvm
 from cdfsvm.core import GKernelSpec
 from cdfsvm.datagen import GaussianSpec2D, bayes_posterior, gen_gaussian_2d
 from cdfsvm.distribution import MeasureSpec, v_vector
@@ -77,3 +81,23 @@ def test_scipy_loads_only_on_a_parametric_path(tmp_path):
     assert np.array_equal(np.array(child["weights"]), weights)
     posterior = bayes_posterior(X, [1.0, -2.0], [-1.0, 2.0], [0.5, 2.0])
     assert np.array_equal(np.array(child["posterior"]), posterior)
+
+
+def test_public_surface_is_declared():
+    # every name in a module's __all__ exists, and every public name the
+    # package re-exports is in its module's __all__, so deleting a function
+    # fails here until each export of it is gone too
+    for info in pkgutil.iter_modules(cdfsvm.__path__):
+        module = importlib.import_module(f"cdfsvm.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
+    with open(cdfsvm.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"cdfsvm.{node.module}")
+        for alias in node.names:
+            if not alias.name.startswith("_"):
+                assert alias.name in module.__all__, (node.module, alias.name)

@@ -4,45 +4,61 @@ import numpy as np
 import pytest
 
 from cdfsvm.core import GKernelSpec, KernelSpec, _mirror
-from cdfsvm.kernels import cross_gram, g_eval, gram, k_eval
+from cdfsvm.distribution import MeasureSpec, v_vector
+from cdfsvm.kernels import cross_gram, gram
 
+
+# K(x, x') of one pair is the 1 x 1 cross-Gram
 
 def test_k_eval_rbf_zero_distance():
     spec = KernelSpec.rbf(1.0)
-    x = np.array([0.3, 0.7])
-    assert k_eval(spec, x, x) == 1.0
+    x = np.array([[0.3, 0.7]])
+    assert cross_gram(spec, x, x)[0, 0] == 1.0
 
 
 def test_k_eval_rbf_direct_substitution():
     # squared distance 2 with delta 1 -> exp(-1)
     spec = KernelSpec.rbf(1.0)
-    val = k_eval(spec, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+    val = cross_gram(spec, np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))[0, 0]
     assert val == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 def test_k_eval_linear():
     spec = KernelSpec.linear()
-    assert k_eval(spec, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+    assert cross_gram(spec, np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))[0, 0] == 11.0
 
 
 def test_k_eval_dimension_mismatch():
-    with pytest.raises(ValueError):
-        k_eval(KernelSpec.linear(), np.array([1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cross_gram(KernelSpec.linear(), np.array([[1.0]]), np.array([[1.0, 2.0]]))
 
+
+# G(u - x) of one pair is the weight of x under the empirical measure on u
 
 def test_g_eval_step():
-    spec = GKernelSpec.step()
-    assert g_eval(spec, np.array([1.0, 1.0]), np.array([0.0, 0.0])) == 1.0
-    assert g_eval(spec, np.array([1.0, -1.0]), np.array([0.0, 0.0])) == 0.0
-    assert g_eval(spec, np.array([0.0]), np.array([0.0])) == 1.0  # closed comparison
+    # the step kernel is 1 iff u >= x coordinate-wise
+    def weight(u, x):
+        return v_vector(np.array([x]), GKernelSpec.step(), MeasureSpec.empirical([u]),
+                        normalize=False).values[0]
+
+    assert weight([1.0, 1.0], [0.0, 0.0]) == 1.0
+    assert weight([1.0, -1.0], [0.0, 0.0]) == 0.0
+    assert weight([0.0], [0.0]) == 1.0  # closed comparison
 
 
 def test_g_eval_gaussian():
-    spec = GKernelSpec.gaussian(1.0)
-    x = np.array([0.25, 0.5])
-    assert g_eval(spec, x, x) == 1.0
-    val = g_eval(spec, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+    g = GKernelSpec.gaussian(1.0)
+    x = np.array([[0.25, 0.5]])
+    assert v_vector(x, g, MeasureSpec.empirical(x), normalize=False).values[0] == 1.0
+    val = v_vector(np.array([[0.0, 0.0]]), g, MeasureSpec.empirical([[1.0, 0.0]]),
+                   normalize=False).values[0]
     assert val == pytest.approx(np.exp(-0.5), rel=1e-12)
+
+
+def per_pair_rbf(X, Z, delta):
+    """exp(-sum (x - z)^2 / (2 delta^2)) for each pair, from the direct difference."""
+    return np.array([[np.exp(-np.sum((x - z) ** 2) / (2.0 * delta**2)) for z in Z]
+                     for x in X])
 
 
 def test_gram_single_row_rbf():
@@ -58,11 +74,11 @@ def test_gram_identical_rows_all_ones():
 def test_gram_matches_elementwise_k_eval():
     rng = np.random.default_rng(3)
     X = rng.random((3, 2))
+    manual = {"rbf": per_pair_rbf(X, X, 0.5),
+              "linear": np.array([[float(x @ z) for z in X] for x in X])}
     for spec in (KernelSpec.rbf(0.5), KernelSpec.linear()):
         G = gram(spec, X)
-        manual = np.array([[k_eval(spec, X[i], X[j]) for j in range(3)]
-                           for i in range(3)])
-        assert np.allclose(G.values, manual, atol=1e-12)
+        assert np.allclose(G.values, manual[spec.kind], atol=1e-12)
 
 
 def test_gram_exact_symmetry_and_unit_diagonal():
@@ -95,9 +111,7 @@ def test_cross_gram_matches_gram_block():
     X, Z = rng.random((4, 2)), rng.random((5, 2))
     spec = KernelSpec.rbf(0.8)
     C = cross_gram(spec, X, Z)
-    manual = np.array([[k_eval(spec, X[i], Z[t]) for t in range(5)]
-                       for i in range(4)])
-    assert np.allclose(C, manual, atol=1e-12)
+    assert np.allclose(C, per_pair_rbf(X, Z, 0.8), atol=1e-12)
 
 
 def one_expression_rbf(X, Z, delta):

@@ -1,11 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
+from cdfsvm import modelsel
 from cdfsvm.core import Dataset, normalize
 from cdfsvm.modelsel import (GridSpec, METHODS, WeightConfig, cv_table,
                              fit_full, grid_search, kfold_split, rows_to_csv,
                              select_best)
-from cdfsvm.solvers import predict
+from cdfsvm.solvers import SolverConfig, SolverError, predict
 from cdfsvm.core import decide
 
 
@@ -181,6 +184,40 @@ def test_select_best_skips_invalid_cells():
                  acc=0.5, vac=0.5, valid=True)]
     best, score = select_best(rows, "acc")
     assert best["gamma"] == 2.0 and score == 0.5
+
+
+def test_select_best_skips_non_converged_cells():
+    # a fit that stopped short is valid (it returned and was scored) but not
+    # converged; its cell is skipped like a failed one
+    rows = [dict(gamma=g, delta=None, epsilon=None, sigma=None, fold=f,
+                 acc=acc, vac=acc, valid=True, converged=g == 2.0 or f == 0)
+            for g, acc in ((1.0, 1.0), (2.0, 0.5)) for f in range(2)]
+    assert select_best(rows, "acc") == ({"gamma": 2.0, "delta": None,
+                                         "epsilon": None, "sigma": None}, 0.5)
+    for row in rows:
+        row["converged"] = False
+    with pytest.raises(SolverError, match="did not converge"):
+        select_best(rows, "acc")
+
+
+def test_cv_table_records_convergence(monkeypatch, tmp_path):
+    # capped at 5 pair steps, the hinge fits at gamma 2^-5 stop short in every
+    # fold while those at gamma 8 converge; all are scored, both cells tie at
+    # accuracy 1, and the tie no longer goes to the smaller, unconverged gamma
+    monkeypatch.setattr(modelsel, "SolverConfig",
+                        functools.partial(SolverConfig, max_iter=5))
+    data = separable_dataset(seed=3)
+    rows = cv_table(data, "csvm", small_grid(gammas=(0.03125, 8.0)), "linear")
+    assert all(row["valid"] and row["acc"] == 1.0 for row in rows)
+    assert [row["converged"] for row in rows] == [False, True] * 3
+    assert select_best(rows, "acc")[0]["gamma"] == 8.0
+    assert select_best([{**row, "converged": True} for row in rows],
+                       "acc")[0]["gamma"] == 0.03125
+    path = tmp_path / "rows.csv"
+    rows_to_csv(rows, path)
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",")[-2:] == ["valid", "converged"]
+    assert [line.split(",")[-1] for line in lines[1:]] == ["False", "True"] * 3
 
 
 def test_grid_search_deterministic():

@@ -710,6 +710,30 @@ def test_model_rejects_non_finite_solution(caps, coef, intercept):
                     "eps-l1svm", caps=caps, epsilon=0.1)
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("converged", "false", TypeError),  # a non-empty str would read as True
+    ("converged", 1, TypeError),
+    ("method", 3, TypeError),
+    ("score_scale", "2", TypeError),  # would fail in predict's arithmetic
+    ("epsilon", "0.1", TypeError),
+    ("score_scale", np.inf, ValueError),
+    ("score_shift", np.nan, ValueError),
+    ("epsilon", np.inf, ValueError),
+])
+def test_model_rejects_wrongly_typed_scalars(field, value, error):
+    valid = dict(coefficients=np.array([0.5, -0.5]), intercept=0.0,
+                 support=np.array([[0.0], [1.0]]), kernel=KernelSpec.linear(),
+                 scaler=Scaler(np.zeros(1), np.ones(1)), method="eps-l1svm",
+                 caps=np.array([1.0, 1.0]), epsilon=0.1)
+    with pytest.raises(error, match=field):
+        KernelModel(**{**valid, field: value})
+    # numbers of any numeric type are kept as floats
+    model = KernelModel(**{**valid, "intercept": 1, "score_scale": np.float32(2.0),
+                           "epsilon": 0})
+    assert all(type(getattr(model, name)) is float
+               for name in ("intercept", "score_scale", "score_shift", "epsilon"))
+
+
 # ---------------------------------------------------------------------------
 # hinge-loss baseline
 
