@@ -37,6 +37,8 @@ __all__ = [
     "write_uci_csv",
 ]
 
+_MAX_FAILURES = 3  # failed rounds after which a method's boundary column is abandoned
+
 
 @dataclass
 class BoundaryColumn:
@@ -67,14 +69,13 @@ class BoundaryColumn:
 
 def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
                         wcfg: WeightConfig = WeightConfig(),
-                        indicators=("acc",), seed: int = 0,
-                        max_failures: int = 3) -> dict:
+                        indicators=("acc",), seed: int = 0) -> dict:
     """Repeated sample/tune/fit rounds on the 2-D generator.
 
     Returns {(method, indicator): BoundaryColumn}. The pseudo-method
     "bayes" reports the analytic optimal line each repetition (distance 0
     by construction). A method's column is abandoned, not the whole run,
-    after ``max_failures`` failed rounds.
+    after three failed rounds.
     """
     base = GaussianSpec2D(n=n)
     reference = bayes_boundary_2d(base)
@@ -107,7 +108,7 @@ def run_bayes_benchmark(n: int, repetitions: int, methods, grid: GridSpec,
             except (SolverError, ValueError):
                 for col in cols:
                     col.failures += 1
-                    if col.failures >= max_failures:
+                    if col.failures >= _MAX_FAILURES:
                         col.aborted = True
     return columns
 

@@ -149,12 +149,12 @@ def normalize(raw, scaler: Scaler | None = None) -> tuple[np.ndarray, Scaler]:
     return scaler.transform(raw), scaler
 
 
-def decide(score, threshold: float = THRESHOLD):
-    """Map scores to {0, 1}: class 1 iff score > threshold; ties go to 0."""
+def decide(score):
+    """Map scores to {0, 1}: class 1 iff score > THRESHOLD; ties go to 0."""
     arr = np.asarray(score, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite score")
-    labels = (arr > threshold).astype(np.int64)
+    labels = (arr > THRESHOLD).astype(np.int64)
     return labels if labels.ndim else int(labels)
 
 

@@ -148,7 +148,7 @@ class BoundaryLine:
             raise ValueError("boundary line must be finite")
 
 
-def boundary_from_linear(model, threshold: float = THRESHOLD) -> BoundaryLine:
+def boundary_from_linear(model) -> BoundaryLine:
     """Extract the decision line of a 2-D linear-kernel model.
 
     The normalized-frame weight vector w = sum_i a_i x_i is mapped back to
@@ -160,8 +160,8 @@ def boundary_from_linear(model, threshold: float = THRESHOLD) -> BoundaryLine:
     if model.support.shape[1] != 2:
         raise ValueError("boundary extraction needs 2-dimensional inputs")
     w_norm = model.coefficients @ model.support
-    # score = scale*(w.x_norm + intercept) + shift = threshold
-    t_norm = (threshold - model.score_shift) / model.score_scale - model.intercept
+    # score = scale*(w.x_norm + intercept) + shift = THRESHOLD
+    t_norm = (THRESHOLD - model.score_shift) / model.score_scale - model.intercept
     span = model.scaler.maxs - model.scaler.mins
     if np.any(span <= 0.0):
         raise ValueError("boundary extraction needs non-constant features")

@@ -10,8 +10,9 @@ Both Acc and Vac are recorded for every cell and fold, so either indicator
 can select without refitting. Vac's test weights come from one fixed
 evaluation (G, mu) configuration shared by all cells and methods, keeping
 values comparable; distribution weights consumed by the models themselves
-are recomputed per training fold against the full-sample reference set
-(transductively).
+are built once per (training fold, sigma) against the full-sample reference
+set (transductively); ``cv_table`` orders its loops and its rows by fold ->
+sigma -> delta -> gamma -> epsilon.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ class WeightConfig:
 
     ``sigma_eval`` fixes the gaussian G width used for Vac test weights (the
     step kernel needs none); model-side sigmas remain grid-searched.
+    ``combine`` applies to v-vectors only: vsvm's V-matrix has no additive
+    form, so vsvm rejects ``combine="additive"``.
     """
 
     g_kind: str = "gaussian"
@@ -116,10 +119,6 @@ class WeightConfig:
                     sigma: float | None = None) -> VWeights:
         return v_vector(samples, self.g_spec(sigma), self.measure(references),
                         combine=self.combine, normalize=True)
-
-    def vmatrix_for(self, samples: np.ndarray, references: np.ndarray,
-                    sigma: float | None = None) -> VMatrix:
-        return v_matrix(samples, self.g_spec(sigma), self.measure(references))
 
 
 def kfold_split(m: int, folds: int, seed: int, labels=None):
@@ -165,19 +164,20 @@ def _kernel_spec(kernel_kind: str, delta: float | None) -> KernelSpec:
     raise ValueError(f"unknown kernel kind {kernel_kind!r}")
 
 
-def _model_weights(method: str, wcfg: WeightConfig, samples: np.ndarray,
-                   references: np.ndarray, sigma: float | None):
-    """(v-vector, V-matrix) a method fits with; each is None unless it uses it."""
+def _model_weight(method: str, wcfg: WeightConfig, samples: np.ndarray,
+                  references: np.ndarray, sigma: float | None):
+    """The v-vector (eps-l1vsvm) or V-matrix (vsvm) a method fits with, else None."""
     if method == "eps-l1vsvm":
-        return wcfg.weights_for(samples, references, sigma), None
+        return wcfg.weights_for(samples, references, sigma)
     if method == "vsvm":
-        return None, wcfg.vmatrix_for(samples, references, sigma)
-    return None, None
+        if wcfg.combine != "product":
+            raise ValueError("vsvm's V-matrix has no additive combine form")
+        return v_matrix(samples, wcfg.g_spec(sigma), wcfg.measure(references))
+    return None
 
 
 def _fit_cell(method: str, train: Dataset, K, gamma: float,
-              epsilon: float | None, weights: VWeights | None,
-              vmat: VMatrix | None):
+              epsilon: float | None, weight: VWeights | VMatrix | None):
     if method == "csvm":
         return fit_csvm(train, K, SolverConfig(gamma=gamma))
     if method == "lssvm":
@@ -185,11 +185,11 @@ def _fit_cell(method: str, train: Dataset, K, gamma: float,
     if method == "idlssvm":
         return fit_idlssvm(train, K, gamma)
     if method == "vsvm":
-        return fit_vsvm(train, K, vmat, gamma)
+        return fit_vsvm(train, K, weight, gamma)
     if method == "eps-l1svm":
         return fit_eps_l1_svm(train, K, SolverConfig(gamma=gamma, epsilon=epsilon))
     if method == "eps-l1vsvm":
-        return fit_eps_l1_vsvm(train, K, weights,
+        return fit_eps_l1_vsvm(train, K, weight,
                                SolverConfig(gamma=gamma, epsilon=epsilon))
     raise ValueError(f"unknown method {method!r}")
 
@@ -198,10 +198,12 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
              wcfg: WeightConfig = WeightConfig()):
     """Evaluate every grid cell on every fold.
 
-    Returns one row per (cell, fold) carrying both indicators. A fit that
-    raised marks its row invalid instead of aborting the search; ``valid``
-    means the fit returned and was scored, and ``converged`` copies the
-    model's flag (False for a row that is not valid).
+    Returns one row per (cell, fold) carrying both indicators, in the order
+    (fold, sigma, delta, gamma, epsilon). Each fold's model weight is built
+    once per sigma, and its Gram and cross-Gram once per (sigma, delta). A
+    fit that raised marks its row invalid instead of aborting the search;
+    ``valid`` means the fit returned and was scored, and ``converged``
+    copies the model's flag (False for a row that is not valid).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -220,23 +222,20 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
         train = subset(data, tr)
         X_val, y_val = data.features[va], data.labels[va]
         v_val = eval_v[va]
-        for delta in deltas:
-            kspec = _kernel_spec(kernel_kind, delta)
-            K = gram(kspec, train.features)
-            cross = cross_gram(kspec, train.features, X_val)
-            for sigma in sigmas:
-                # free the last sigma's V, and the V·K memo entry it keys,
-                # before the next one is built
-                weights = vmat = None
-                weights, vmat = _model_weights(method, wcfg, train.features,
-                                               data.features, sigma)
+        for sigma in sigmas:
+            weight = None  # frees the last sigma's V and its V·K memo entry first
+            weight = _model_weight(method, wcfg, train.features, data.features, sigma)
+            for delta in deltas:
+                kspec = _kernel_spec(kernel_kind, delta)
+                K = gram(kspec, train.features)
+                cross = cross_gram(kspec, train.features, X_val)
                 for gamma in grid.gammas:
                     for epsilon in epsilons:
                         cell = dict(gamma=gamma, delta=delta, epsilon=epsilon,
                                     sigma=sigma, fold=fold_id)
                         try:
                             model = _fit_cell(method, train, K, gamma, epsilon,
-                                              weights, vmat)
+                                              weight)
                             pred = decide(_score_with_cross(model, cross))
                             cell["acc"] = accuracy(y_val, pred)
                             cell["vac"] = (vac(y_val, pred, v_val)
@@ -329,7 +328,7 @@ def fit_full(data: Dataset, method: str, params: dict, kernel_kind: str = "rbf",
     """Fit one method on the whole dataset with explicit cell parameters."""
     kspec = _kernel_spec(kernel_kind, params.get("delta"))
     K = gram(kspec, data.features)
-    weights, vmat = _model_weights(method, wcfg, data.features, data.features,
-                                   params.get("sigma"))
+    weight = _model_weight(method, wcfg, data.features, data.features,
+                           params.get("sigma"))
     return _fit_cell(method, data, K, params["gamma"], params.get("epsilon"),
-                     weights, vmat)
+                     weight)

@@ -63,7 +63,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Dataset, KernelSpec, Scaler
+from .core import Dataset, KernelSpec, Scaler, _block_rows
 from .distribution import VMatrix, VWeights
 from .kernels import GramMatrix, cross_gram
 
@@ -488,25 +488,28 @@ def _check_fit_inputs(data: Dataset, K: GramMatrix, require_both_classes=True):
         raise ValueError("Gram matrix does not match the dataset")
 
 
+def _fit_dual(data: Dataset, K: GramMatrix, cfg: SolverConfig, target, eps, lo, hi,
+              **model_fields) -> KernelModel:
+    """Check the inputs, solve the pairwise dual over [lo, hi], wrap beta and bias."""
+    _check_fit_inputs(data, K)
+    res = _solve_pairwise(K.values, target, eps, lo, hi,
+                          tolerance=cfg.tolerance, max_iter=cfg.max_iter)
+    return KernelModel(coefficients=res.beta, intercept=res.bias, support=data.features,
+                       kernel=K.spec, scaler=data.scaler, converged=res.converged,
+                       **model_fields)
+
+
 def _fit_weighted_tube(data: Dataset, K: GramMatrix, v: VWeights, cfg: SolverConfig,
                        method: str, provenance: dict | None) -> KernelModel:
-    _check_fit_inputs(data, K)
     vals = np.asarray(v.values, dtype=float)
     if vals.shape != (data.m,):
         raise ValueError("weight vector does not match the dataset")
     if np.any(vals <= 0.0):
         raise ValueError("non-positive distribution weight")
     caps = cfg.gamma * vals
-    res = _solve_pairwise(
-        K.values, data.labels.astype(float), np.full(data.m, cfg.epsilon),
-        -caps, caps, tolerance=cfg.tolerance, max_iter=cfg.max_iter,
-    )
-    return KernelModel(
-        coefficients=res.beta, intercept=res.bias, support=data.features,
-        kernel=K.spec, scaler=data.scaler, method=method,
-        converged=res.converged, v_provenance=provenance, caps=caps,
-        epsilon=cfg.epsilon,
-    )
+    return _fit_dual(data, K, cfg, data.labels.astype(float),
+                     np.full(data.m, cfg.epsilon), -caps, caps, method=method,
+                     v_provenance=provenance, caps=caps, epsilon=cfg.epsilon)
 
 
 def fit_eps_l1_vsvm(data: Dataset, K: GramMatrix, v: VWeights,
@@ -535,20 +538,12 @@ def fit_csvm(data: Dataset, K: GramMatrix, cfg: SolverConfig) -> KernelModel:
     gamma] for positives, [-gamma, 0] for negatives) with sum b_i = 0. The
     sign score is affinely mapped onto the 0.5-threshold convention.
     """
-    _check_fit_inputs(data, K)
     z = 2.0 * data.labels.astype(float) - 1.0
     hi = np.where(z > 0.0, cfg.gamma, 0.0)
     lo = np.where(z < 0.0, -cfg.gamma, 0.0)
-    res = _solve_pairwise(
-        K.values, z, np.zeros(data.m), lo, hi,
-        tolerance=cfg.tolerance, max_iter=cfg.max_iter,
-    )
-    return KernelModel(
-        coefficients=res.beta, intercept=res.bias, support=data.features,
-        kernel=K.spec, scaler=data.scaler, method="csvm",
-        converged=res.converged, score_scale=0.5, score_shift=0.5,
-        caps=np.full(data.m, cfg.gamma), epsilon=0.0,
-    )
+    return _fit_dual(data, K, cfg, z, np.zeros(data.m), lo, hi, method="csvm",
+                     score_scale=0.5, score_shift=0.5,
+                     caps=np.full(data.m, cfg.gamma), epsilon=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +655,10 @@ def _density_weights(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
         if idx.size <= k:
             raise ValueError(f"class {cls} has {idx.size} members; needs more than k={k}")
         pts = X[idx]
-        sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        rows = _block_rows(pts.size)  # a (rows, c, d) difference block stays in cache
+        sq = np.empty((idx.size, idx.size))
+        for lo in range(0, idx.size, rows):
+            sq[lo:lo + rows] = np.sum((pts[lo:lo + rows, None] - pts) ** 2, axis=2)
         np.fill_diagonal(sq, np.inf)
         nearest = np.sort(sq, axis=1)[:, :k]
         rho[idx] = np.exp(-nearest.mean(axis=1) / d)

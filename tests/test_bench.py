@@ -69,8 +69,7 @@ def test_bayes_column_aborts_after_max_failures_failed_rounds(monkeypatch):
 
     monkeypatch.setattr(bench, "cv_table", flaky_cv_table)
     cols = run_bayes_benchmark(n=40, repetitions=6, methods=("lssvm", "idlssvm"),
-                               grid=tiny_grid(), indicators=("acc",), seed=5,
-                               max_failures=3)
+                               grid=tiny_grid(), indicators=("acc",), seed=5)
     failing, other = cols[("idlssvm", "acc")], cols[("lssvm", "acc")]
     assert failing.failures == 3 and failing.aborted
     assert len(failing.ks) == 2  # rounds 1 and 3

@@ -253,6 +253,16 @@ def test_cv_deterministic(tmp_path):
     assert (out_a / "cv-table.csv").read_text() == (out_b / "cv-table.csv").read_text()
 
 
+def test_cv_vsvm_rejects_the_additive_combine(tmp_path, capsys):
+    csv_path = tmp_path / "toy.csv"
+    make_toy_csv(csv_path, seed=13)
+    assert run_cli("cv", "--dataset", csv_path, "--method", "vsvm",
+                   "--combine", "additive", "--gammas", "1.0", "--deltas", "1.0",
+                   "--sigmas", "0.5", "--folds", 3,
+                   "--out-dir", tmp_path / "cv") == 2
+    assert "error: vsvm's V-matrix has no additive combine form" in capsys.readouterr().err
+
+
 def test_cv_vac_indicator(tmp_path, capsys):
     csv_path = tmp_path / "toy.csv"
     make_toy_csv(csv_path, seed=12)

@@ -1,14 +1,21 @@
+import collections
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
 from cdfsvm import modelsel
-from cdfsvm.core import Dataset, normalize
+from cdfsvm.core import Dataset, KernelSpec, normalize, subset
+from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d
+from cdfsvm.distribution import v_matrix
+from cdfsvm.evaluation import accuracy, vac
+from cdfsvm.kernels import cross_gram, gram
 from cdfsvm.modelsel import (GridSpec, METHODS, WeightConfig, cv_table,
                              fit_full, grid_search, kfold_split, rows_to_csv,
                              select_best)
-from cdfsvm.solvers import SolverConfig, SolverError, predict
+from cdfsvm.solvers import (SolverConfig, SolverError, _score_with_cross,
+                            fit_eps_l1_vsvm, fit_vsvm, predict)
 from cdfsvm.core import decide
 
 
@@ -218,6 +225,110 @@ def test_cv_table_records_convergence(monkeypatch, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split(",")[-2:] == ["valid", "converged"]
     assert [line.split(",")[-1] for line in lines[1:]] == ["False", "True"] * 3
+
+
+# ---------------------------------------------------------------------------
+# cv_table's loop nest: fold -> sigma -> delta -> gamma -> epsilon
+
+WEIGHTED_GRID = dict(gammas=(0.5, 8.0), deltas=(0.5, 2.0), epsilons=(0.25,),
+                     sigmas=(0.25, 1.0), folds=3)
+
+
+def overlapping_dataset():
+    return gen_gaussian_2d(GaussianSpec2D(n=48, seed=21))
+
+
+@pytest.mark.parametrize("method", ["vsvm", "eps-l1vsvm"])
+def test_cv_table_builds_each_weight_once_per_fold_and_sigma(monkeypatch, method):
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(modelsel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("gram", "cross_gram", "v_vector", "v_matrix", "fit_vsvm",
+             "fit_eps_l1_vsvm")
+    for name in names:
+        monkeypatch.setattr(modelsel, name, counted(name))
+    grid = GridSpec(**WEIGHTED_GRID)
+    rows = cv_table(overlapping_dataset(), method, grid)
+    folds, sigmas, deltas = grid.folds, len(grid.sigmas), len(grid.deltas)
+    # v_vector also builds the Vac test weights once per table
+    weights = {"vsvm": (1, folds * sigmas), "eps-l1vsvm": (1 + folds * sigmas, 0)}
+    assert (calls["v_vector"], calls["v_matrix"]) == weights[method]
+    assert calls["gram"] == calls["cross_gram"] == folds * sigmas * deltas
+    assert calls["fit_vsvm"] + calls["fit_eps_l1_vsvm"] == len(rows)
+    assert len(rows) == folds * sigmas * deltas * len(grid.gammas) * (
+        len(grid.epsilons) if method == "eps-l1vsvm" else 1)
+
+
+def fold_delta_sigma_rows(data, method, grid, wcfg):
+    """Reference: the grid walked fold -> delta -> sigma, building the model
+    weight for every (fold, delta, sigma) from the public builders."""
+    splits = kfold_split(data.m, grid.folds, grid.seed, labels=data.labels)
+    eval_v = wcfg.weights_for(data.features, data.features).values
+    epsilons = grid.epsilons if method == "eps-l1vsvm" else (None,)
+    rows = []
+    for fold, (tr, va) in enumerate(splits):
+        train, y_val = subset(data, tr), data.labels[va]
+        for delta in grid.deltas:
+            K = gram(KernelSpec.rbf(delta), train.features)
+            cross = cross_gram(KernelSpec.rbf(delta), train.features,
+                               data.features[va])
+            for sigma in grid.sigmas:
+                if method == "vsvm":
+                    V = v_matrix(train.features, wcfg.g_spec(sigma),
+                                 wcfg.measure(data.features))
+                else:
+                    v = wcfg.weights_for(train.features, data.features, sigma)
+                for gamma in grid.gammas:
+                    for epsilon in epsilons:
+                        model = (fit_vsvm(train, K, V, gamma) if method == "vsvm"
+                                 else fit_eps_l1_vsvm(train, K, v, SolverConfig(
+                                     gamma=gamma, epsilon=epsilon)))
+                        pred = decide(_score_with_cross(model, cross))
+                        rows.append(dict(
+                            gamma=gamma, delta=delta, epsilon=epsilon,
+                            sigma=sigma, fold=fold, acc=accuracy(y_val, pred),
+                            vac=vac(y_val, pred, eval_v[va]), valid=True,
+                            converged=model.converged))
+    return rows
+
+
+@pytest.mark.parametrize("mu_kind", ["empirical", "uniform", "gaussian"])
+@pytest.mark.parametrize("method", ["vsvm", "eps-l1vsvm"])
+def test_cv_table_rows_match_the_fold_delta_sigma_walk(method, mu_kind):
+    data = overlapping_dataset()
+    grid = GridSpec(**WEIGHTED_GRID)
+    wcfg = WeightConfig(mu_kind=mu_kind)
+    rows = cv_table(data, method, grid, "rbf", wcfg)
+    reference = fold_delta_sigma_rows(data, method, grid, wcfg)
+
+    def as_multiset(table):
+        return sorted(repr(sorted(row.items())) for row in table)
+    assert as_multiset(rows) == as_multiset(reference)
+    assert len({row["acc"] for row in rows}) > 1  # the cells do differ
+    epsilons = grid.epsilons if method == "eps-l1vsvm" else (None,)
+    order = [(r["fold"], r["sigma"], r["delta"], r["gamma"], r["epsilon"])
+             for r in rows]
+    assert order == list(itertools.product(range(grid.folds), grid.sigmas,
+                                           grid.deltas, grid.gammas, epsilons))
+
+
+def test_vsvm_rejects_the_additive_combine():
+    # V_ij has no additive form; eps-l1vsvm's v-vector still takes one
+    data = separable_dataset(seed=5)
+    wcfg = WeightConfig(combine="additive")
+    with pytest.raises(ValueError, match="additive"):
+        cv_table(data, "vsvm", small_grid(), "rbf", wcfg)
+    with pytest.raises(ValueError, match="additive"):
+        fit_full(data, "vsvm", dict(gamma=1.0, delta=1.0, sigma=0.5), "rbf", wcfg)
+    assert all(row["valid"] for row in cv_table(data, "eps-l1vsvm", small_grid(),
+                                                "rbf", wcfg))
 
 
 def test_grid_search_deterministic():

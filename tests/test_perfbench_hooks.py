@@ -123,7 +123,7 @@ def test_cv_table_makes_one_counted_fit_per_row():
     feats, scaler = normalize(np.vstack([rng.normal(0.35, 0.15, (15, 2)),
                                          rng.normal(0.65, 0.15, (15, 2))]))
     data = Dataset(feats, np.repeat([0, 1], 15), scaler)
-    grid = GridSpec(gammas=(0.5, 8.0), deltas=(1.0,), epsilons=(0.25,),
+    grid = GridSpec(gammas=(0.5, 8.0), deltas=(0.5, 1.0), epsilons=(0.25,),
                     sigmas=(0.5, 2.0), folds=2)
     patches = tracer["Patches"]()
     counters = tracer["FitCounters"]()

@@ -3,6 +3,7 @@ import itertools
 import json
 import logging
 import math
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -921,6 +922,45 @@ def test_idlssvm_residual_and_class_size_guard():
     assert np.linalg.norm(r1) < 1e-10
     with pytest.raises(ValueError):
         fit_idlssvm(data, K, gamma=4.0, k=6)
+
+
+def one_piece_density_weights(X, labels, k):
+    # the formula before row blocks: one (c, c, d) difference array per class
+    rho = np.empty(X.shape[0])
+    for cls in (0, 1):
+        idx = np.flatnonzero(labels == cls)
+        pts = X[idx]
+        sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(sq, np.inf)
+        rho[idx] = np.exp(-np.sort(sq, axis=1)[:, :k].mean(axis=1) / X.shape[1])
+    return rho
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("d", [1, 3, 7, 8, 13, 64])
+def test_density_weights_match_the_one_piece_formula(d, k):
+    # d < 8 and d >= 8 take different summation paths in numpy's reduction;
+    # at every d the blocks split each class into several pieces
+    rng = np.random.default_rng(100 + d)
+    X = rng.random((290, d))
+    labels = (rng.random(290) < 0.45).astype(np.int64)
+    assert np.array_equal(_density_weights(X, labels, k),
+                          one_piece_density_weights(X, labels, k))
+
+
+def test_density_weights_memory_is_a_few_class_squares():
+    # two classes of c = 600 at d = 30: the one-piece formula held a
+    # (c, c, d) difference array, 86 MB, where one c x c matrix is 2.9 MB
+    c, d = 600, 30
+    X = np.random.default_rng(36).random((2 * c, d))
+    labels = np.repeat([0, 1], c)
+    tracemalloc.start()
+    try:
+        _density_weights(X, labels, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * c * c * 8
 
 
 def test_vsvm_singularity_guard():
