@@ -21,7 +21,7 @@ import numpy as np
 
 __all__ = ["interior_point", "snap"]
 
-_MAX_ITER = 50  # a safety cap; the stopping rule ends fits after 9-14
+_MAX_ITER = 50  # a safety cap; the stopping rule ends fits after 8-18
 
 
 def interior_point(K, target, eps, lo, hi):
@@ -33,16 +33,19 @@ def interior_point(K, target, eps, lo, hi):
     covers one-sided boxes. Every box must have positive width. The bound
     slacks s = u - x are carried as variables, with multipliers z for
     x >= 0 and w for s >= 0, and y for sum(beta) = 0. Eliminating x, s, z
-    and w leaves one SPD system (K + diag(1/E)) dbeta = c/E + dy 1 per
-    Newton step, with E_i the sum of 1/(z/x + w/s) over the sides of i; its
-    inverse serves the predictor, the corrector and the all-ones right-hand
-    side of the equality constraint. Primal and dual share one step length,
-    0.99 of the way to the boundary.
+    and w leaves one SPD system M dbeta = c/E + dy 1 per Newton step, with
+    M = K + diag(1/E) and E_i the sum of 1/(z/x + w/s) over the sides of i.
+    Each iteration solves it twice: the predictor's solve takes c together
+    with the all-ones right-hand side of the equality constraint, and the
+    corrector's solve reuses that M^-1 1. At m = 160 an iteration takes
+    about 0.8 ms, against 1.5 ms with the inverse the solves replaced (one
+    BLAS thread on a shared 2-core x86-64 box). Primal and dual share one
+    step length, 0.99 of the way to the boundary.
 
     On a numerically singular K the residual bottoms out and then grows,
     so the iteration stops at the first iterate that does not improve
     max(scaled residual, mu), keeping the best one, or once both are below
-    1e-7.
+    1e-7. A solve that fails on a singular M also keeps it.
     """
     m = target.size
     pos, neg = np.flatnonzero(hi > 0.0), np.flatnonzero(lo < 0.0)
@@ -78,32 +81,38 @@ def interior_point(K, target, eps, lo, hi):
         iterations += 1
         D = z / x + w / s
         E = scatter(1.0 / D)
-        # numpy's inverse rather than a scipy Cholesky: importing scipy.linalg
-        # would double a bare interpreter's memory (27 to 55 MB)
-        try:
-            M_inv = np.linalg.inv(K + np.diag(1.0 / E))
-        except np.linalg.LinAlgError:
-            break
-        M_one = M_inv @ ones
+        M = K.copy()
+        M.flat[::m + 1] += 1.0 / E
+        M_one = None
 
         def newton(c_z, c_w):
             # (dx, dz, ds, dw, dy) for complementarity right-hand sides
             # x dz + z dx = c_z and s dw + w ds = c_w, with ds = -dx
+            nonlocal M_one
             a = -r_d + c_z / x - c_w / s
             c = scatter(sign * a / D) / E
-            d_beta = M_inv @ c
+            # two numpy LU solves: one scipy Cholesky factor would serve both,
+            # but importing scipy.linalg would double a bare interpreter's
+            # memory (27 to 55 MB)
+            if M_one is None:  # the predictor's solve also gives M^-1 1
+                d_beta, M_one = np.linalg.solve(M, np.column_stack([c, ones])).T
+            else:
+                d_beta = np.linalg.solve(M, c)
             dy = (-r_e - d_beta.sum()) / M_one.sum()
             d_beta += dy * M_one
             dx = (a - sign * (K @ d_beta - dy)[idx]) / D
             return dx, (c_z - z * dx) / x, -dx, (c_w + w * dx) / s, dy
 
-        dx, dz, ds, dw, _ = newton(-x * z, -s * w)  # affine predictor
-        alpha = min(1.0, step_to_boundary((x, dx), (s, ds), (z, dz), (w, dw)))
-        mu_aff = float((x + alpha * dx) @ (z + alpha * dz)
-                       + (s + alpha * ds) @ (w + alpha * dw)) / (2 * idx.size)
-        sigma_mu = (mu_aff / mu) ** 3 * mu
-        dx, dz, ds, dw, dy = newton(sigma_mu - x * z - dx * dz,
-                                    sigma_mu - s * w - ds * dw)
+        try:  # either solve fails on a numerically singular M
+            dx, dz, ds, dw, _ = newton(-x * z, -s * w)  # affine predictor
+            alpha = min(1.0, step_to_boundary((x, dx), (s, ds), (z, dz), (w, dw)))
+            mu_aff = float((x + alpha * dx) @ (z + alpha * dz)
+                           + (s + alpha * ds) @ (w + alpha * dw)) / (2 * idx.size)
+            sigma_mu = (mu_aff / mu) ** 3 * mu
+            dx, dz, ds, dw, dy = newton(sigma_mu - x * z - dx * dz,
+                                        sigma_mu - s * w - ds * dw)
+        except np.linalg.LinAlgError:
+            break
         alpha = min(1.0, 0.99 * step_to_boundary((x, dx), (s, ds), (z, dz), (w, dw)))
         x, s, z, w = x + alpha * dx, s + alpha * ds, z + alpha * dz, w + alpha * dw
         y += alpha * dy

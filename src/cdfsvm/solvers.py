@@ -32,14 +32,15 @@ floats (200 KB at m = 160), and costs nothing up front.
 
 At large gamma the rbf Gram is numerically singular and pair steps
 zig-zag for 10^4-10^5 steps, so a fit has two phases. The pair loop runs
-from b = 0 for a budget of pair steps (``_switch_budget``). A fit that
-has not converged or stalled by then is solved by the primal-dual interior
-point of the ``interior`` module, whose dozen or so Newton steps reach the
-neighbourhood of the optimum whatever the conditioning. Its result is
-snapped onto 0 and the bounds, and the same pair loop finishes it to the
-tolerance and decides status, violation and bias. ``max_iter`` counts
-pair steps over both phases. A fit that ends within the budget is the pair
-loop alone, bit for bit.
+from b = 0 for a budget of pair steps (``_switch_budget``), about twice
+what an interior-point solve costs. A fit that has not converged or
+stalled by then is solved by the primal-dual interior point of the
+``interior`` module, whose dozen or so Newton steps, two m x m LU solves
+each, reach the neighbourhood of the optimum whatever the conditioning.
+Its result is snapped onto 0 and the bounds, and the same pair loop
+finishes it to the tolerance and decides status, violation and bias.
+``max_iter`` counts pair steps over both phases. A fit that ends within
+the budget is the pair loop alone, bit for bit.
 
 The weighted epsilon-insensitive dual uses symmetric per-sample boxes
 |b_i| <= gamma*v_i; the hinge-loss dual uses one-sided boxes and eps = 0.
@@ -108,7 +109,7 @@ class SolverConfig:
 
     The engine stops once the maximal KKT violation is below ``tolerance``
     or after ``max_iter`` pair updates, counted over both of its phases: a
-    fit still unconverged after 25 m pair steps (m^3 / 1600 from m = 200
+    fit still unconverged after 12 m pair steps (m^3 / 2560 from m = 176
     on) switches to an interior point, and the pair loop spends the steps
     left on finishing its result. The default 1e-4 is tight enough
     that the stopping point, and through it cross-validation's choice of
@@ -322,18 +323,31 @@ def _pair_loop(K, target, eps, lo, hi, beta, tolerance=1e-4,
 
 
 def _switch_budget(m: int) -> int:
-    """Pair steps before a fit switches to the interior point: 25 m, and
-    m^3 / 1600 from m = 200 on.
+    """Pair steps before a fit switches to the interior point: 12 m, and
+    m^3 / 2560 from m = 176 on.
 
-    It depends on m alone, so results do not depend on the machine. At
-    m = 160-200 an interior-point solve costs about 13 m pair steps, so a
-    fit switches once it has spent about twice that. The solve is a dozen
-    m x m inverses, so its cost grows as m^3, and so does the budget from
-    m = 200 on: a large fit never trades its steps for seconds of inverses
-    that save less. At m = 400-1,000 the budget costs 2.7-4.8 solves, and
-    from m = 543 on it exceeds the default max_iter, so no such fit switches.
+    It depends on m alone, so results do not depend on the machine. A fit
+    switches once the pair loop has spent about twice what an interior-point
+    solve costs. Timed against the pair steps of the same fits, one solve
+    costs 6.6 m pair steps on cv-tube's switched fits (m = 160, median of 26)
+    and 5.6 m on bayes's (m = 150, 5 fits); with an inverse per Newton step
+    it cost 12.3 m and 9.8 m. On gamma = 256 tube cells of gauss2d (rbf
+    delta = 0.25, eps = 2^-4; 3,000 pair steps from beta = 0; the best of
+    repeated timings on two samples per m; one BLAS thread on a shared
+    2-core x86-64 box), twice a solve comes to
+
+        m                       25     50   150    160    200    400    1,000
+        two solves, in m steps  10-13  7-8  13     12-14  15     41-44  137-155
+        budget, in m steps      12     12   12     12     15.6   62.5   391
+
+    The solve's LU factorizations grow as m^3, and so does the budget from
+    m = 176 on. Pair steps get dearer with m (10 us at m = 160, 15 us at
+    1,000), so at m = 400-1,000 the budget is 1.4-2.9 times the rule's: a
+    large fit does not trade its steps for seconds of solves that save
+    less. From m = 635 on the budget exceeds the default max_iter, so no
+    such fit switches.
     """
-    return max(25 * m, m**3 // 1600)
+    return max(12 * m, m**3 // 2560)
 
 
 def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
@@ -660,7 +674,11 @@ def _density_weights(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
         for lo in range(0, idx.size, rows):
             sq[lo:lo + rows] = np.sum((pts[lo:lo + rows, None] - pts) ** 2, axis=2)
         np.fill_diagonal(sq, np.inf)
-        nearest = np.sort(sq, axis=1)[:, :k]
+        sq.sort(axis=1)
+        # a copy of the k nearest, so that no c x c array of this class is
+        # alive while the next class is built
+        nearest = sq[:, :k].copy()
+        del sq
         rho[idx] = np.exp(-nearest.mean(axis=1) / d)
     return rho
 

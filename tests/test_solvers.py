@@ -603,6 +603,77 @@ def test_engine_is_the_pair_loop_up_to_the_budget_on_large_gamma_tube_cell():
     assert_same_result(res, cold_loop(*args, max_iter=budget))
 
 
+def test_switch_budget_grows_with_m_and_spares_large_fits():
+    budgets = [_switch_budget(m) for m in range(1, 3001)]
+    assert all(a <= b for a, b in zip(budgets, budgets[1:]))
+    # the score workload's m = 2,000 fit never switches at the default max_iter
+    assert _switch_budget(2000) > SolverConfig(gamma=1.0).max_iter
+
+
+def test_switch_budget_leaves_the_held_out_labels_of_large_gamma_tube_cell(monkeypatch):
+    data = gen_gaussian_2d(GaussianSpec2D(n=200, seed=10007))
+    _, test_idx = kfold_split(200, 5, 10007, labels=data.labels)[0]
+    held_out = subset(data, test_idx).features
+    train, K, weights = large_gamma_tube_cell()
+    cfg = SolverConfig(gamma=256.0, epsilon=2.0**-4)
+    results = []
+    engine = solvers._solve_pairwise
+
+    def recorded(*args, **kwargs):
+        results.append(engine(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "_solve_pairwise", recorded)
+    labels = [decide(predict(fit_eps_l1_vsvm(train, K, weights, cfg), held_out))]
+    monkeypatch.setattr(solvers, "_switch_budget", lambda m: 25 * m)
+    labels.append(decide(predict(fit_eps_l1_vsvm(train, K, weights, cfg), held_out)))
+    now, before = results
+    assert now.interior_iterations > 0 and before.interior_iterations > 0
+    assert now.iterations < before.iterations
+    assert now.converged and before.converged
+    assert np.array_equal(labels[0], labels[1])
+
+
+@pytest.mark.parametrize("at", [1, 4])
+def test_singular_newton_system_keeps_the_best_iterate(monkeypatch, at):
+    # np.linalg.solve raises LinAlgError on the at-th predictor solve (two
+    # right-hand sides) or the at-th corrector solve (one)
+    train, K, weights = large_gamma_tube_cell()
+    *_, lo, hi = args = tube_cell_args(train, K, weights)
+    full, full_iterations = interior_point(*args)
+    solve = np.linalg.solve
+
+    def failing_on(site):
+        calls = {1: 0, 2: 0}
+
+        def failing(M, b):
+            calls[b.ndim] += 1
+            if b.ndim == site and calls[b.ndim] == at:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(M, b)
+        return failing
+
+    kept = []
+    for site in (2, 1):  # the predictor's solve, then the corrector's
+        monkeypatch.setattr(np.linalg, "solve", failing_on(site))
+        beta, iterations = interior_point(*args)
+        assert iterations == at < full_iterations
+        kept.append(beta)
+        start = snap(beta, lo, hi)
+        assert np.all(start >= lo) and np.all(start <= hi)
+        assert abs(float(start.sum())) < 1e-12 * max(1.0, float(np.abs(start).max()))
+        monkeypatch.setattr(np.linalg, "solve", failing_on(site))
+        res = _solve_pairwise(*args)
+        assert res.converged and res.interior_iterations == at
+        assert res.iterations > _switch_budget(train.m)
+    # both sites keep the iterate the failed step started from: the start
+    # point (beta = 0 in these symmetric boxes) when the first step fails
+    assert np.array_equal(kept[0], kept[1])
+    assert not np.array_equal(kept[0], full)
+    if at == 1:
+        assert not kept[0].any()
+
+
 @pytest.mark.parametrize("family", DEGENERATE)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -950,7 +1021,9 @@ def test_density_weights_match_the_one_piece_formula(d, k):
 
 def test_density_weights_memory_is_a_few_class_squares():
     # two classes of c = 600 at d = 30: the one-piece formula held a
-    # (c, c, d) difference array, 86 MB, where one c x c matrix is 2.9 MB
+    # (c, c, d) difference array, 86 MB, where one c x c matrix is 2.9 MB;
+    # keeping a class's distances and their sorted copy into the next class
+    # read 3.1 c^2; sorting in place and keeping k columns reads 1.2 c^2
     c, d = 600, 30
     X = np.random.default_rng(36).random((2 * c, d))
     labels = np.repeat([0, 1], c)
@@ -960,7 +1033,7 @@ def test_density_weights_memory_is_a_few_class_squares():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * c * c * 8
+    assert peak <= 2.5 * c * c * 8
 
 
 def test_vsvm_singularity_guard():
