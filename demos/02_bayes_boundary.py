@@ -5,7 +5,8 @@ optimal linear boundary is x2 = 2*x1, tunes each classifier by
 cross-validation, and reports how close the fitted lines land, using the
 deviation-times-dispersion distance (0 is perfect).
 
-A desk-scale run (20 repetitions, reduced grids); expect a minute or two.
+A desk-scale run (20 repetitions, reduced grids); it takes a few seconds
+(about 7 s on one core of a 2-core x86-64 box).
 
 Run:  python demos/02_bayes_boundary.py
 """

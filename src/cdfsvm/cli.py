@@ -26,7 +26,7 @@ from .datagen import (GaussianSpec2D, Robustness1DSpec, bayes_boundary_2d,
                       sample_robustness_1d, save_csv)
 from .evaluation import evaluate, format_report_table, reports_to_csv
 from .modelsel import (GridSpec, METHODS, WeightConfig, fit_full, grid_search,
-                       kfold_split, rows_to_csv)
+                       rows_to_csv)
 from .solvers import SolverError, load_model, predict, save_model
 
 def _staged(path: str, content) -> None:
@@ -133,15 +133,21 @@ def _cmd_synth(ns) -> int:
 
 
 def _split_train_test(data, ns):
-    """(train, test): a stratified split of data, or all of data and the
-    rows of the separate test file."""
+    """(train, test): all of data and the rows of the separate test file,
+    or a stratified split that trains on round(train_frac * n_c) rows of each
+    class (at least one, at most n_c - 1), drawn by a permutation from the
+    seed."""
     if ns.test_file:
         return data, _load(ns, ns.test_file, data.scaler)
     if not 0.0 < ns.train_frac < 1.0:
         raise ValueError("train_frac must lie strictly between 0 and 1")
-    folds = max(2, round(1.0 / (1.0 - ns.train_frac)))
-    train_idx, test_idx = kfold_split(data.m, folds, ns.seed, labels=data.labels)[0]
-    return subset(data, train_idx), subset(data, test_idx)
+    rng = np.random.default_rng(ns.seed)
+    train = np.zeros(data.m, dtype=bool)
+    for value in np.unique(data.labels):
+        rows = rng.permutation(np.flatnonzero(data.labels == value))
+        take = min(max(round(ns.train_frac * rows.size), 1), rows.size - 1)
+        train[rows[:take]] = True
+    return subset(data, np.flatnonzero(train)), subset(data, np.flatnonzero(~train))
 
 
 def _cmd_fit(ns) -> int:

@@ -58,26 +58,6 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK // max(width, 1))
 
 
-def _mirror(values: np.ndarray) -> np.ndarray:
-    """Mirror a square matrix's upper triangle onto its lower one, in place.
-
-    Works one strip of rows at a time and returns ``values``. Every entry
-    equals that of ``np.triu(values) + np.triu(values, 1).T``, which the
-    diagonal squares still evaluate; the rest of a strip gets ``+ 0.0``, so
-    -0.0 becomes +0.0 as there, and the strip below each square copies
-    those entries.
-    """
-    m = values.shape[0]
-    rows = _block_rows(m)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        square = values[lo:hi, lo:hi]
-        values[lo:hi, lo:hi] = np.triu(square) + np.triu(square, 1).T
-        right = np.add(values[lo:hi, hi:], 0.0, out=values[lo:hi, hi:])
-        values[hi:, lo:hi] = right.T
-    return values
-
-
 @dataclass(frozen=True)
 class Scaler:
     """Per-dimension (min, max) pairs used for unit-interval scaling.

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GKernelSpec, _block_rows, _frozen_array, _frozen_symmetric, _mirror,
-                   write_csv)
+from .core import GKernelSpec, _block_rows, _frozen_array, _frozen_symmetric, write_csv
 
 __all__ = [
     "MeasureSpec",
@@ -159,10 +158,6 @@ class VWeights:
             raise ValueError("normalization constant must be positive")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def m(self) -> int:
-        return self.values.size
-
     def provenance(self) -> dict:
         return {
             "g": self.g_spec.to_dict(),
@@ -193,10 +188,6 @@ class VMatrix:
         if np.any(vals < 0.0):
             raise ValueError("V-matrix entries must be non-negative")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +359,19 @@ def v_vector(samples, g: GKernelSpec, mu: MeasureSpec, combine: str = "product",
 def v_matrix(samples, g: GKernelSpec, mu: MeasureSpec) -> VMatrix:
     """Pairwise weight matrix V_ij = int G(x - x_i) G(x - x_j) dmu(x).
 
-    Empirical measures use the reference average. Parametric measures
-    multiply, over dimensions, the v-vector's closed form at one merged
-    point per pair (see the module docstring), so V is exactly symmetric
-    as built. The point-mass measure degenerates to the identity matrix.
+    Empirical measures use the reference average W'W / N. Parametric
+    measures multiply, over dimensions, the v-vector's closed form at one
+    merged point per pair (see the module docstring). Either way V is exactly
+    symmetric as built. The point-mass measure degenerates to the identity.
     """
     X = _samples_for(samples, mu)
     m, d = X.shape
     if mu.kind == "point_mass":
         return VMatrix(np.eye(m), g, mu)
     if mu.kind == "empirical":
-        refs = mu.references
-        W = _empirical_kernel(X, g, refs)
-        vals = (W.T @ W) / refs.shape[0]
-        return VMatrix(_mirror(vals), g, mu)
+        # W is a fresh C-contiguous array, so W'W is one syrk: symmetric as built
+        W = _empirical_kernel(X, g, mu.references)
+        return VMatrix((W.T @ W) / mu.references.shape[0], g, mu)
 
     vals = np.ones((m, m))
     half = GKernelSpec.gaussian(g.sigma / np.sqrt(2.0)) if g.kind == "gaussian" else g

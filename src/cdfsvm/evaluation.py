@@ -10,7 +10,7 @@ can be compared against a known optimal boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -95,14 +95,6 @@ class EvalReport:
     fn: int
     v_provenance: str = "uniform (v=1)"
 
-    CSV_HEADER = ("acc", "vac", "gmean", "sensitivity", "specificity",
-                  "tp", "fp", "tn", "fn", "v_provenance")
-
-    def csv_row(self) -> list:
-        return [self.acc, self.vac, self.gmean, self.sensitivity,
-                self.specificity, self.tp, self.fp, self.tn, self.fn,
-                self.v_provenance]
-
 
 def evaluate(y_true, y_pred, v_t=None, v_provenance: str | None = None) -> EvalReport:
     """Score predictions; without v_t the Vac column degenerates to Acc."""
@@ -131,8 +123,9 @@ def format_report_table(reports: dict[str, EvalReport]) -> str:
 
 
 def reports_to_csv(reports: dict[str, EvalReport], path, header_comment: str = "") -> None:
-    write_csv(path, ("model",) + EvalReport.CSV_HEADER,
-              ([name] + rep.csv_row() for name, rep in reports.items()),
+    """One CSV row per model: its name, then the report's fields in order."""
+    write_csv(path, ["model", *(f.name for f in fields(EvalReport))],
+              ([name, *astuple(rep)] for name, rep in reports.items()),
               header_comment)
 
 

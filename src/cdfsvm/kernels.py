@@ -2,8 +2,8 @@
 
 A single pair's K(x, x') is the 1 x 1 cross-Gram. The rbf kernel uses the
 2*delta**2 denominator, so bandwidth grids expressed as powers of two apply
-directly. Gram matrices are exactly symmetric by construction (upper
-triangle mirrored) and carry a unit diagonal for rbf.
+directly. Gram matrices are exactly symmetric as built (see ``gram``) and
+carry a unit diagonal for rbf.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KernelSpec, _block_rows, _frozen_symmetric, _mirror
+from .core import KernelSpec, _block_rows, _frozen_symmetric
 
 __all__ = ["GramMatrix", "cross_gram", "gram"]
 
@@ -60,18 +60,17 @@ class GramMatrix:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_symmetric(self.values, "Gram matrix"))
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
 
 def gram(spec: KernelSpec, X) -> GramMatrix:
     """Build the Gram matrix of one sample set.
 
-    The upper triangle is computed and mirrored, so the result is exactly
-    symmetric; the rbf diagonal is pinned to 1.
+    One C-contiguous array of the samples is both operands of ``cross_gram``,
+    so numpy computes X X' by BLAS syrk (one triangle, copied to the other)
+    and every rbf step after it is elementwise: the result is exactly
+    symmetric as built. The rbf diagonal is pinned to 1.
     """
-    values = _mirror(cross_gram(spec, X, X))
+    X = np.ascontiguousarray(X, dtype=float)
+    values = cross_gram(spec, X, X)
     if spec.kind == "rbf":
         np.fill_diagonal(values, 1.0)
     return GramMatrix(values, spec)

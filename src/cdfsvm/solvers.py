@@ -224,8 +224,8 @@ _MASK = 1e100  # additive penalty hiding bound-pinned directions from argmax
 _TAU = 1e-12  # curvature floor for the selection when rows coincide (eta_ij = 0)
 
 
-def _pair_loop(K, target, eps, lo, hi, beta, tolerance=1e-4,
-               max_iter=100_000) -> PairwiseResult:
+def _pair_loop(K, target, eps, lo, hi, beta, tolerance=SolverConfig.tolerance,
+               max_iter=SolverConfig.max_iter) -> PairwiseResult:
     """Pair steps from the feasible ``beta`` until the KKT violation is below
     ``tolerance``, a step stalls, or ``max_iter`` steps have run."""
     m = target.size
@@ -350,8 +350,8 @@ def _switch_budget(m: int) -> int:
     return max(12 * m, m**3 // 2560)
 
 
-def _solve_pairwise(K, target, eps, lo, hi, tolerance=1e-4,
-                    max_iter=100_000) -> PairwiseResult:
+def _solve_pairwise(K, target, eps, lo, hi, tolerance=SolverConfig.tolerance,
+                    max_iter=SolverConfig.max_iter) -> PairwiseResult:
     """Maximize the dual to within ``tolerance`` of KKT optimality.
 
     The pair loop runs from beta = 0 for ``_switch_budget(m)`` steps. A fit

@@ -10,7 +10,7 @@ import pytest
 from cdfsvm import cli
 from cdfsvm.cli import main
 from cdfsvm.core import decide
-from cdfsvm.datagen import load_csv
+from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d, load_csv
 from cdfsvm.evaluation import vac
 from cdfsvm.modelsel import fit_full
 from cdfsvm.solvers import load_model, predict, save_model
@@ -175,6 +175,19 @@ def test_predict_malformed_model_is_an_error(tmp_path, capsys, edit, message):
                    "--out", tmp_path / "pred.csv") == 2
     assert "error: " + message in capsys.readouterr().err
     assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("frac, rows", [(0.3, 60), (0.6, 120), (0.8, 160)])
+def test_train_frac_trains_on_that_share_of_each_class(frac, rows):
+    data = gen_gaussian_2d(GaussianSpec2D(n=200, seed=5))
+    ns = argparse.Namespace(test_file="", train_frac=frac, seed=3)
+    train, test = cli._split_train_test(data, ns)
+    assert (train.m, test.m) == (rows, 200 - rows)
+    assert train.has_both_classes and test.has_both_classes
+    assert sorted(np.vstack([train.features, test.features]).tolist()) == \
+        sorted(data.features.tolist())
+    again, _ = cli._split_train_test(data, ns)
+    assert np.array_equal(again.features, train.features)
 
 
 def test_fit_rerun_same_seed_identical_report(tmp_path):

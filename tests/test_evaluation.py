@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cdfsvm.core import KernelSpec, Scaler
-from cdfsvm.evaluation import (BoundaryLine, accuracy, boundary_from_linear,
-                               confusion_counts, dist_to_bayes, evaluate,
-                               format_report_table, gmean, reports_to_csv, vac)
+from cdfsvm.evaluation import (BoundaryLine, EvalReport, accuracy,
+                               boundary_from_linear, confusion_counts,
+                               dist_to_bayes, evaluate, format_report_table,
+                               gmean, reports_to_csv, vac)
 from cdfsvm.solvers import KernelModel, predict
 
 
@@ -86,6 +89,19 @@ def test_report_table_and_csv(tmp_path):
     text = path.read_text()
     assert text.startswith("# seed=1\n")
     assert "toy" in text
+
+
+def test_report_csv_columns_are_the_report_fields(tmp_path):
+    rep = evaluate([1, 0, 1, 1], [1, 0, 0, 1], [0.5, 1.0, 0.25, 0.75],
+                   v_provenance="g=gaussian, mu=empirical")
+    path = tmp_path / "reports.csv"
+    reports_to_csv({"toy": rep}, path)
+    header, row = path.read_text().splitlines()
+    assert header.split(",") == ["model"] + [f.name for f in dataclasses.fields(EvalReport)]
+    assert header == "model,acc,vac,gmean,sensitivity,specificity,tp,fp,tn,fn,v_provenance"
+    values = [rep.acc, rep.vac, rep.gmean, rep.sensitivity, rep.specificity,
+              rep.tp, rep.fp, rep.tn, rep.fn]
+    assert row == ",".join(["toy", *map(str, values), '"g=gaussian, mu=empirical"'])
 
 
 def linear_model(w, bias, scaler=None, score_scale=1.0, score_shift=0.0):

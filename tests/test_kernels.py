@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cdfsvm.core import GKernelSpec, KernelSpec, _mirror
-from cdfsvm.distribution import MeasureSpec, v_vector
+from cdfsvm.core import GKernelSpec, KernelSpec
+from cdfsvm.distribution import MeasureSpec, v_matrix, v_vector
 from cdfsvm.kernels import cross_gram, gram
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # K(x, x') of one pair is the 1 x 1 cross-Gram
@@ -142,18 +148,71 @@ def test_rbf_grams_bit_identical_to_one_expression(m, t, d, delta):
     np.fill_diagonal(full, 1.0)
     assert np.array_equal(gram(spec, X).values, full)
     # compared as int64 views, so the sign of zero counts: a linear Gram on
-    # signed data, and a mirror of planted -0.0 entries, which BLAS
-    # products do not hold
+    # signed data
     linear = triu_mirror(X @ X.T).view(np.int64)
     assert np.array_equal(gram(KernelSpec.linear(), X).values.view(np.int64), linear)
-    signed = rng.normal(size=(m, m))
-    signed[rng.random((m, m)) < 0.3] = -0.0
-    expected = triu_mirror(signed).view(np.int64)
-    assert np.array_equal(_mirror(signed).view(np.int64), expected)
+
+
+def layout(name, rng, m, d):
+    """An (m, d) sample set in the named memory layout or input type."""
+    if name == "C":
+        return rng.random((m, d))
+    if name == "F":
+        return np.asfortranarray(rng.random((m, d)))
+    if name == "row-strided":
+        return rng.random((2 * m, d))[::2]
+    if name == "column-sliced":
+        return rng.random((m, 2 * d))[:, ::2]
+    if name == "reversed":
+        return rng.random((m, d))[::-1]
+    if name == "list":
+        return rng.random((m, d)).tolist()
+    return rng.integers(0, 4, (m, d))  # int
+
+
+@pytest.mark.parametrize("m", [1, 2, 161, 480])
+@pytest.mark.parametrize("name", ["C", "F", "row-strided", "column-sliced",
+                                  "reversed", "list", "int"])
+def test_grams_and_empirical_v_symmetric_as_built_for_any_layout(name, m):
+    # the constructors would raise on an asymmetric matrix; the equalities
+    # say what is checked
+    for d in (1, 2, 10, 30, 64):
+        rng = np.random.default_rng(1000 * m + d)
+        X = layout(name, rng, m, d)
+        refs = rng.random((40, d))
+        for spec in (KernelSpec.rbf(0.5), KernelSpec.linear()):
+            values = gram(spec, X).values
+            assert np.array_equal(values, values.T), (spec.kind, d)
+        values = v_matrix(X, GKernelSpec.gaussian(0.5), MeasureSpec.empirical(refs)).values
+        assert np.array_equal(values, values.T), d
+
+
+TWO_THREADS_CHILD = textwrap.dedent("""
+    import numpy as np
+    from cdfsvm.core import GKernelSpec, KernelSpec
+    from cdfsvm.distribution import MeasureSpec, v_matrix
+    from cdfsvm.kernels import gram
+
+    # every other column: without gram's contiguous conversion numpy copies
+    # each operand of X @ X.T and calls gemm, whose two-thread result differs
+    # across the diagonal here
+    X = np.random.default_rng(0).random((161, 60))[:, ::2]
+    gram(KernelSpec.rbf(1.0), X)
+    gram(KernelSpec.linear(), X)
+    v_matrix(X, GKernelSpec.gaussian(0.5), MeasureSpec.empirical(X))
+""")
+
+
+def test_gram_symmetric_with_two_blas_threads_on_column_sliced_input(tmp_path):
+    # the suite pins BLAS to one thread, so this runs in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", TWO_THREADS_CHILD], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gram_peak_memory_below_two_and_a_quarter_matrices():
-    # the product X X' with one block of scratch, mirrored in place, then
+    # the product X X' with one block of scratch, symmetric as built, then
     # GramMatrix's read-only copy and its m x m boolean symmetry check
     m = 600
     X = np.random.default_rng(9).random((m, 2))
