@@ -369,9 +369,14 @@ def v_matrix(samples, g: GKernelSpec, mu: MeasureSpec) -> VMatrix:
     if mu.kind == "point_mass":
         return VMatrix(np.eye(m), g, mu)
     if mu.kind == "empirical":
-        # W is a fresh C-contiguous array, so W'W is one syrk: symmetric as built
+        # W is a fresh C-contiguous array, so W'W is one syrk: symmetric as
+        # built. W goes before VMatrix copies the product; dividing in place
+        # rounds as (W'W) / N does.
         W = _empirical_kernel(X, g, mu.references)
-        return VMatrix((W.T @ W) / mu.references.shape[0], g, mu)
+        P = W.T @ W
+        del W
+        P /= mu.references.shape[0]
+        return VMatrix(P, g, mu)
 
     vals = np.ones((m, m))
     half = GKernelSpec.gaussian(g.sigma / np.sqrt(2.0)) if g.kind == "gaussian" else g

@@ -25,6 +25,13 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
     beside one block of scratch, so a call holds one full-size array. The
     operations and their order are those of the one-expression formula, so
     the entries agree with it bit for bit.
+
+    ``cross_gram(spec, X, X)`` is not exactly symmetric in general: for a
+    column-sliced, strided or reversed array, or a list, BLAS may compute
+    X X' as a general product, whose two triangles can round differently
+    when it runs more than one thread; wrapping such a result in
+    ``GramMatrix`` can then raise ValueError. ``gram`` is the exactly
+    symmetric path.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)

@@ -177,9 +177,10 @@ def _model_weight(method: str, wcfg: WeightConfig, samples: np.ndarray,
 
 
 def _fit_cell(method: str, train: Dataset, K, gamma: float,
-              epsilon: float | None, weight: VWeights | VMatrix | None):
+              epsilon: float | None, weight: VWeights | VMatrix | None,
+              interior_first: bool = False):
     if method == "csvm":
-        return fit_csvm(train, K, SolverConfig(gamma=gamma))
+        return fit_csvm(train, K, SolverConfig(gamma=gamma, interior_first=interior_first))
     if method == "lssvm":
         return fit_lssvm(train, K, gamma)
     if method == "idlssvm":
@@ -187,11 +188,27 @@ def _fit_cell(method: str, train: Dataset, K, gamma: float,
     if method == "vsvm":
         return fit_vsvm(train, K, weight, gamma)
     if method == "eps-l1svm":
-        return fit_eps_l1_svm(train, K, SolverConfig(gamma=gamma, epsilon=epsilon))
+        return fit_eps_l1_svm(train, K, SolverConfig(
+            gamma=gamma, epsilon=epsilon, interior_first=interior_first))
     if method == "eps-l1vsvm":
-        return fit_eps_l1_vsvm(train, K, weight,
-                               SolverConfig(gamma=gamma, epsilon=epsilon))
+        return fit_eps_l1_vsvm(train, K, weight, SolverConfig(
+            gamma=gamma, epsilon=epsilon, interior_first=interior_first))
     raise ValueError(f"unknown method {method!r}")
+
+
+# A dual fit whose previous-gamma fit of the same (fold, sigma, delta,
+# epsilon) switched to the interior point, or ran more than this many times m
+# pair steps, skips the pair-step budget and starts on the interior point.
+# Hard fits cluster at large gamma, so one is a good sign of the next. On
+# cv-tube (seeds 1, 14, 19 and 31, 2 jobs each, m = 160) 3 flags 136 fits,
+# 131 of the 194 that switch, and removes 44% of the pair steps; its 5 false
+# flags, fits the pair loop would have solved, are 4 eps-l1vsvm fits at gamma
+# = 256 (1,702-1,894 steps) and 1 csvm fit (430). On bayes (seeds 1, 2, 3 and
+# 14, 10 jobs each, m = 150) it removes 33% with 179 false flags. Every CV
+# row and pick was unchanged. Simulated from the same fits, 6 gives no false
+# flag on cv-tube but removes 24% there (15% on bayes), and 2 removes 57%
+# with 12 false flags.
+_INTERIOR_FIRST_STEPS = 3
 
 
 def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf",
@@ -202,8 +219,15 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
     (fold, sigma, delta, gamma, epsilon). Each fold's model weight is built
     once per sigma, and its Gram and cross-Gram once per (sigma, delta). A
     fit that raised marks its row invalid instead of aborting the search;
-    ``valid`` means the fit returned and was scored, and ``converged``
-    copies the model's flag (False for a row that is not valid).
+    ``valid`` means the fit returned and was scored, and ``converged``,
+    ``iterations`` and ``interior_iterations`` copy the model's record
+    (False, 0 and 0 for a row that is not valid).
+
+    Gammas run in grid order (ascending on the standard grids) within each
+    (fold, sigma, delta), and a dual fit starts on the interior point
+    (``SolverConfig.interior_first``) when the previous gamma's fit at the
+    same epsilon switched to it or ran more than ``_INTERIOR_FIRST_STEPS`` m
+    pair steps. A fit that raised leaves no such evidence for the next gamma.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -229,21 +253,30 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
                 kspec = _kernel_spec(kernel_kind, delta)
                 K = gram(kspec, train.features)
                 cross = cross_gram(kspec, train.features, X_val)
+                previous = dict.fromkeys(epsilons)  # last gamma's model per epsilon
                 for gamma in grid.gammas:
                     for epsilon in epsilons:
                         cell = dict(gamma=gamma, delta=delta, epsilon=epsilon,
                                     sigma=sigma, fold=fold_id)
+                        last, model = previous[epsilon], None
+                        interior_first = last is not None and (
+                            last.interior_iterations > 0
+                            or last.iterations > _INTERIOR_FIRST_STEPS * train.m)
                         try:
                             model = _fit_cell(method, train, K, gamma, epsilon,
-                                              weight)
+                                              weight, interior_first)
                             pred = decide(_score_with_cross(model, cross))
                             cell["acc"] = accuracy(y_val, pred)
                             cell["vac"] = (vac(y_val, pred, v_val)
                                            if vac_defined else np.nan)
-                            cell.update(valid=True, converged=model.converged)
+                            cell.update(valid=True, converged=model.converged,
+                                        iterations=model.iterations,
+                                        interior_iterations=model.interior_iterations)
                         except (SolverError, ValueError) as exc:
                             cell.update(acc=np.nan, vac=np.nan, valid=False,
-                                        converged=False, error=str(exc))
+                                        converged=False, iterations=0,
+                                        interior_iterations=0, error=str(exc))
+                        previous[epsilon] = model
                         rows.append(cell)
     return rows
 
@@ -318,7 +351,7 @@ def grid_search(data: Dataset, method: str, grid: GridSpec,
 def rows_to_csv(rows, path, header_comment: str = "") -> None:
     """One CSV row per grid cell per fold."""
     columns = ("gamma", "delta", "epsilon", "sigma", "fold", "acc", "vac", "valid",
-               "converged")
+               "converged", "iterations", "interior_iterations")
     write_csv(path, columns, ([row.get(col, "") for col in columns] for row in rows),
               header_comment)
 

@@ -154,6 +154,9 @@ def test_fit_test_file_vac_normalizes_over_whole_sample(tmp_path):
     (lambda doc: [1, 2], "not a cdfsvm-model document"),
     (lambda doc: {"format": "cdfsvm-model", "version": 1, "family": "dual"},
      "unsupported model version 1"),
+    (lambda doc: {**{k: v for k, v in doc.items()
+                     if k not in ("iterations", "interior_iterations")}, "version": 2},
+     "unsupported model version 2"),
     (lambda doc: {k: v for k, v in doc.items() if k not in ("coefficients", "caps")},
      "model document lacks coefficients, caps"),
     (lambda doc: {**doc, "kernel": {}}, "malformed model document"),
@@ -161,7 +164,7 @@ def test_fit_test_file_vac_normalizes_over_whole_sample(tmp_path):
     (lambda doc: {**doc, "intercept": [0.5]}, "malformed model document"),
     (lambda doc: {**doc, "score_scale": "2"}, "malformed model document"),
     (lambda doc: {**doc, "converged": "false"}, "malformed model document"),
-], ids=["not-object", "version-1", "missing-fields", "kernel", "scaler", "intercept",
+], ids=["not-object", "version-1", "version-2", "missing-fields", "kernel", "scaler", "intercept",
         "score-scale-str", "converged-str"])
 def test_predict_malformed_model_is_an_error(tmp_path, capsys, edit, message):
     csv_path = tmp_path / "toy.csv"

@@ -365,6 +365,32 @@ def test_measure_dimension_must_match_samples(mu, g):
         v_matrix(X, g, mu)
 
 
+@pytest.mark.parametrize("g", [STEP, GAUSS(0.4)], ids=["step", "gaussian"])
+def test_empirical_v_matrix_is_the_one_expression_product(g):
+    # dividing the product in place rounds as (W'W) / N does
+    rng = np.random.default_rng(23)
+    X, refs = rng.random((70, 3)), rng.random((90, 3))
+    W = distribution._empirical_kernel(X, g, refs)
+    V = v_matrix(X, g, MeasureSpec.empirical(refs))
+    assert np.array_equal(V.values, (W.T @ W) / refs.shape[0])
+
+
+def test_empirical_v_matrix_memory_is_about_two_squares():
+    # W (N x m) is freed before VMatrix copies the product, so the peak is
+    # the product and its read-only copy, as for gram, not three m x m floats
+    m = 600
+    rng = np.random.default_rng(24)
+    X = rng.random((m, 2))
+    mu = MeasureSpec.empirical(rng.random((m, 2)))
+    tracemalloc.start()
+    try:
+        v_matrix(X, GAUSS(0.4), mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * m * m * 8
+
+
 def test_v_matrix_point_mass_is_identity():
     V = v_matrix(np.random.default_rng(16).random((5, 2)), GAUSS(1.0),
                  MeasureSpec.point_mass())

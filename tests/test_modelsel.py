@@ -223,8 +223,87 @@ def test_cv_table_records_convergence(monkeypatch, tmp_path):
     path = tmp_path / "rows.csv"
     rows_to_csv(rows, path)
     lines = path.read_text().splitlines()
-    assert lines[0].split(",")[-2:] == ["valid", "converged"]
-    assert [line.split(",")[-1] for line in lines[1:]] == ["False", "True"] * 3
+    assert lines[0].split(",")[-4:] == ["valid", "converged", "iterations",
+                                        "interior_iterations"]
+    assert [line.split(",")[-3] for line in lines[1:]] == ["False", "True"] * 3
+    # the capped fits record their 5 pair steps; none reached the interior point
+    assert [line.split(",")[-2:] for line in lines[1::2]] == [["5", "0"]] * 3
+
+
+# ---------------------------------------------------------------------------
+# the interior-first rule: a dual fit skips the pair-step budget when the
+# previous gamma's fit of its (fold, sigma, delta, epsilon) was hard
+
+HARD_GRID = dict(gammas=(1.0, 16.0, 256.0), deltas=(0.25,),
+                 epsilons=(2.0**-4, 2.0**-2), sigmas=(0.5,), folds=5)
+
+
+def recorded_flags(monkeypatch):
+    flags = []
+
+    def recording(**kwargs):
+        cfg = SolverConfig(**kwargs)
+        flags.append(cfg.interior_first)
+        return cfg
+    monkeypatch.setattr(modelsel, "SolverConfig", recording)
+    return flags
+
+
+def flag_reasons(data, grid, rows):
+    """Per row, why the rule flags it: "switched" when the previous-gamma,
+    same-epsilon row switched to the interior point, "steps" when it ran more
+    than 3 m pair steps, else None."""
+    sizes = [tr.size for tr, _ in kfold_split(data.m, grid.folds, grid.seed, data.labels)]
+    last = {}
+    reasons = []
+    for row in rows:
+        key = (row["fold"], row["sigma"], row["delta"], row["epsilon"])
+        prev = last.get(key)
+        reasons.append(None if prev is None else
+                       "switched" if prev["interior_iterations"] > 0 else
+                       "steps" if prev["iterations"] > 3 * sizes[row["fold"]] else None)
+        last[key] = row
+    return reasons
+
+
+@pytest.mark.parametrize("method, seed, kinds", [
+    ("eps-l1vsvm", 10007, {"switched", "steps"}),
+    ("csvm", 6, {"steps"}),
+])
+def test_cv_table_starts_on_the_interior_point_after_a_hard_fit(monkeypatch, method,
+                                                               seed, kinds):
+    data = gen_gaussian_2d(GaussianSpec2D(n=100, seed=seed))
+    grid = GridSpec(**HARD_GRID)
+    flags = recorded_flags(monkeypatch)
+    rows = cv_table(data, method, grid)
+    reasons = flag_reasons(data, grid, rows)
+    assert flags == [reason is not None for reason in reasons]
+    # both kinds of evidence occur where expected, and the rule leaves some
+    # later fits alone
+    assert set(reasons) == kinds | {None}
+    assert any(reason is None and row["gamma"] > grid.gammas[0]
+               for reason, row in zip(reasons, rows))
+    # a flagged fit ran no budget: it went to the interior point at once
+    assert all(row["interior_iterations"] > 0 for row, f in zip(rows, flags) if f)
+
+
+def test_a_fit_that_raised_leaves_no_evidence(monkeypatch):
+    data = gen_gaussian_2d(GaussianSpec2D(n=100, seed=10007))
+    grid = GridSpec(**HARD_GRID)
+    fit = modelsel.fit_eps_l1_vsvm
+
+    def failing_at_16(train, K, v, cfg):
+        if cfg.gamma == 16.0:
+            raise SolverError("refused")
+        return fit(train, K, v, cfg)
+    monkeypatch.setattr(modelsel, "fit_eps_l1_vsvm", failing_at_16)
+    flags = recorded_flags(monkeypatch)
+    rows = cv_table(data, "eps-l1vsvm", grid)
+    raised = [row for row in rows if not row["valid"]]
+    assert raised and all(row["gamma"] == 16.0 for row in raised)
+    assert all((row["iterations"], row["interior_iterations"]) == (0, 0) for row in raised)
+    assert flags == [reason is not None for reason in flag_reasons(data, grid, rows)]
+    assert not any(f for row, f in zip(rows, flags) if row["gamma"] == 256.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +347,9 @@ def test_cv_table_builds_each_weight_once_per_fold_and_sigma(monkeypatch, method
 
 def fold_delta_sigma_rows(data, method, grid, wcfg):
     """Reference: the grid walked fold -> delta -> sigma, building the model
-    weight for every (fold, delta, sigma) from the public builders."""
+    weight for every (fold, delta, sigma) from the public builders; a tube
+    fit starts on the interior point when its previous-gamma fit switched or
+    ran more than 3 m pair steps."""
     splits = kfold_split(data.m, grid.folds, grid.seed, labels=data.labels)
     eval_v = wcfg.weights_for(data.features, data.features).values
     epsilons = grid.epsilons if method == "eps-l1vsvm" else (None,)
@@ -285,17 +366,23 @@ def fold_delta_sigma_rows(data, method, grid, wcfg):
                                  wcfg.measure(data.features))
                 else:
                     v = wcfg.weights_for(train.features, data.features, sigma)
+                previous = {}
                 for gamma in grid.gammas:
                     for epsilon in epsilons:
+                        last = previous.get(epsilon)
+                        hard = last is not None and (last.interior_iterations > 0
+                                                     or last.iterations > 3 * train.m)
                         model = (fit_vsvm(train, K, V, gamma) if method == "vsvm"
                                  else fit_eps_l1_vsvm(train, K, v, SolverConfig(
-                                     gamma=gamma, epsilon=epsilon)))
+                                     gamma=gamma, epsilon=epsilon, interior_first=hard)))
+                        previous[epsilon] = model
                         pred = decide(_score_with_cross(model, cross))
                         rows.append(dict(
                             gamma=gamma, delta=delta, epsilon=epsilon,
                             sigma=sigma, fold=fold, acc=accuracy(y_val, pred),
                             vac=vac(y_val, pred, eval_v[va]), valid=True,
-                            converged=model.converged))
+                            converged=model.converged, iterations=model.iterations,
+                            interior_iterations=model.interior_iterations))
     return rows
 
 

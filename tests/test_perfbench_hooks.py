@@ -2,7 +2,9 @@
 result; these tests fail when a package change removes one of its hooks,
 before a benchmark run would."""
 
+import os
 import pathlib
+import subprocess
 import sys
 import types
 
@@ -161,3 +163,13 @@ def test_score_workload_reads_the_fitted_models():
     for job in (0, 1):
         result = score.job(job)
         assert result.checks_failed == 0 and result.rows == score.batch
+
+
+def test_benchmark_selftest_passes():
+    # every workload at tiny sizes through perfbench/run.py, untraced and
+    # traced; the runs write only under the git-ignored perfbench/out/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, env=env, capture_output=True,
+                          text=True, timeout=900)
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-3000:]

@@ -5,7 +5,7 @@ import logging
 import math
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -153,6 +153,8 @@ def test_rejects_bad_inputs():
         SolverConfig(gamma=0.0)
     with pytest.raises(ValueError):
         SolverConfig(gamma=1.0, epsilon=-0.1)
+    with pytest.raises(TypeError, match="interior_first"):
+        SolverConfig(gamma=1.0, interior_first=1)
 
 
 def test_convergence_flag_on_iteration_cap():
@@ -410,7 +412,8 @@ def test_engine_logs_one_debug_line_per_call(caplog):
     with caplog.at_level(logging.DEBUG, logger="cdfsvm.solvers"):
         res = _solve_pairwise(*args)
         quick = _solve_pairwise(*args, max_iter=3)
-    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+        first = _solve_pairwise(*args, interior_first=True)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
     budget = _switch_budget(train.m)
     assert caplog.records[0].getMessage() == (
         f"pairwise engine: m={train.m}, {budget} pair steps before the switch, "
@@ -421,6 +424,11 @@ def test_engine_logs_one_debug_line_per_call(caplog):
         f"pairwise engine: m={train.m}, 3 pair steps before the switch, "
         f"0 interior-point iterations, 0 polish steps, max_iter, "
         f"violation {quick.violation:.3g}")
+    assert caplog.records[2].getMessage() == (
+        f"pairwise engine: m={train.m}, 0 pair steps before the switch, "
+        f"{first.interior_iterations} interior-point iterations, "
+        f"{first.iterations} polish steps, converged, "
+        f"violation {first.violation:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +609,70 @@ def test_engine_is_the_pair_loop_up_to_the_budget_on_large_gamma_tube_cell():
     res = _solve_pairwise(*args, max_iter=budget)
     assert res.status == "max_iter" and res.interior_iterations == 0
     assert_same_result(res, cold_loop(*args, max_iter=budget))
+
+
+def assert_same_but_the_budget(first, cold, m):
+    """``first`` is ``cold`` bit for bit, less the budget's pair steps."""
+    assert np.array_equal(first.beta, cold.beta)
+    assert ((first.bias, first.status, first.violation, first.interior_iterations)
+            == (cold.bias, cold.status, cold.violation, cold.interior_iterations))
+    assert first.iterations == cold.iterations - _switch_budget(m)
+
+
+def test_interior_first_skips_the_budget_on_large_gamma_tube_cell():
+    train, K, weights = large_gamma_tube_cell()
+    args = tube_cell_args(train, K, weights)
+    cold = _solve_pairwise(*args)
+    assert cold.interior_iterations > 0
+    assert_same_but_the_budget(_solve_pairwise(*args, interior_first=True), cold, train.m)
+    # the public fit carries the flag to the engine and records both counts
+    cfg = SolverConfig(gamma=256.0, epsilon=2.0**-4)
+    models = [fit_eps_l1_vsvm(train, K, weights, replace(cfg, interior_first=first))
+              for first in (False, True)]
+    assert [(m.iterations, m.interior_iterations) for m in models] == [
+        (cold.iterations, cold.interior_iterations),
+        (cold.iterations - _switch_budget(train.m), cold.interior_iterations)]
+    assert np.array_equal(models[0].coefficients, models[1].coefficients)
+
+
+def test_interior_first_matches_every_degenerate_instance_that_switches():
+    # a fit that switches cold runs the same interior point, snap and polish
+    # when it starts there; one the pair loop solves still ends converged,
+    # feasible and zero-sum
+    switched = 0
+    for family in DEGENERATE:
+        rng = np.random.default_rng(DEGENERATE.index(family) + 31)
+        for _ in range(40):
+            K, target, eps, lo, hi = args = seeded_engine_instance(rng, family)
+            for kw in ({}, TIGHT):
+                cold = _solve_pairwise(*args, **kw)
+                first = _solve_pairwise(*args, interior_first=True, **kw)
+                assert first.interior_iterations > 0
+                if cold.interior_iterations > 0:
+                    switched += 1
+                    assert_same_but_the_budget(first, cold, target.size)
+                    continue
+                assert cold.converged and first.converged
+                beta = first.beta
+                assert np.all(beta >= lo - 1e-9) and np.all(beta <= hi + 1e-9)
+                assert abs(float(beta.sum())) < 1e-8 * max(1.0, float(np.abs(beta).max()))
+    assert switched == 17
+
+
+def test_fit_record_of_every_method(tmp_path):
+    # the dual fits record the engine's counts, the closed-form fits leave
+    # 0, and a version-3 model file keeps both
+    data = gen_gaussian_2d(GaussianSpec2D(n=40, seed=38))
+    params = dict(gamma=2.0, delta=0.5, epsilon=0.25, sigma=0.5)
+    for method in METHODS:
+        model = fit_full(data, method, params, "rbf", WeightConfig())
+        if model.caps is None:
+            assert (model.iterations, model.interior_iterations) == (0, 0)
+        else:
+            assert model.iterations >= 1 and model.interior_iterations == 0
+        save_model(replace(model, interior_iterations=5), tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert (loaded.iterations, loaded.interior_iterations) == (model.iterations, 5)
 
 
 def test_switch_budget_grows_with_m_and_spares_large_fits():
@@ -791,6 +863,11 @@ def test_model_rejects_non_finite_solution(caps, coef, intercept):
     ("score_scale", np.inf, ValueError),
     ("score_shift", np.nan, ValueError),
     ("epsilon", np.inf, ValueError),
+    ("iterations", 1.5, TypeError),
+    ("iterations", True, TypeError),
+    ("interior_iterations", "3", TypeError),
+    ("iterations", -1, ValueError),
+    ("interior_iterations", -2, ValueError),
 ])
 def test_model_rejects_wrongly_typed_scalars(field, value, error):
     valid = dict(coefficients=np.array([0.5, -0.5]), intercept=0.0,
@@ -804,6 +881,9 @@ def test_model_rejects_wrongly_typed_scalars(field, value, error):
                            "epsilon": 0})
     assert all(type(getattr(model, name)) is float
                for name in ("intercept", "score_scale", "score_shift", "epsilon"))
+    # and counts of any integer type as ints
+    model = KernelModel(**{**valid, "iterations": np.int64(7)})
+    assert type(model.iterations) is int and model.iterations == 7
 
 
 # ---------------------------------------------------------------------------
