@@ -26,9 +26,9 @@ from .core import Dataset, GKernelSpec, KernelSpec, decide, subset, write_csv
 from .distribution import MeasureSpec, VMatrix, VWeights, v_matrix, v_vector
 from .evaluation import accuracy, vac
 from .kernels import cross_gram, gram
-from .solvers import (SolverConfig, SolverError, _score_with_cross, fit_csvm,
-                      fit_eps_l1_svm, fit_eps_l1_vsvm, fit_idlssvm, fit_lssvm,
-                      fit_vsvm)
+from .solvers import (SolverConfig, SolverError, _score_with_cross, _switch_budget,
+                      fit_csvm, fit_eps_l1_svm, fit_eps_l1_vsvm, fit_idlssvm,
+                      fit_lssvm, fit_vsvm)
 
 __all__ = [
     "GridSearchResult",
@@ -197,18 +197,20 @@ def _fit_cell(method: str, train: Dataset, K, gamma: float,
 
 
 # A dual fit whose previous-gamma fit of the same (fold, sigma, delta,
-# epsilon) switched to the interior point, or ran more than this many times m
-# pair steps, skips the pair-step budget and starts on the interior point.
-# Hard fits cluster at large gamma, so one is a good sign of the next. On
-# cv-tube (seeds 1, 14, 19 and 31, 2 jobs each, m = 160) 3 flags 136 fits,
-# 131 of the 194 that switch, and removes 44% of the pair steps; its 5 false
-# flags, fits the pair loop would have solved, are 4 eps-l1vsvm fits at gamma
-# = 256 (1,702-1,894 steps) and 1 csvm fit (430). On bayes (seeds 1, 2, 3 and
-# 14, 10 jobs each, m = 150) it removes 33% with 179 false flags. Every CV
-# row and pick was unchanged. Simulated from the same fits, 6 gives no false
-# flag on cv-tube but removes 24% there (15% on bayes), and 2 removes 57%
-# with 12 false flags.
-_INTERIOR_FIRST_STEPS = 3
+# epsilon) ran more than 1 / _INTERIOR_FIRST_SHARE of the switch budget in
+# pair steps, 3 m at m <= 175, skips the budget and starts on the interior
+# point. Hard fits cluster at large gamma, so one is a good sign of the next.
+# A flagged fit is judged by its own pair steps, all of them polish. On
+# cv-tube (seeds 1, 14, 19 and 31, 2 jobs each, m = 160) the rule flags
+# 116 fits, 111 of the 194 that switch, and removes 38% of the pair steps;
+# its 5 false flags, fits the pair loop would have solved, are 4 eps-l1vsvm
+# fits at gamma = 256 (1,702-1,894 steps) and 1 csvm fit (430). On bayes
+# (seeds 1, 2, 3 and 14, 10 jobs each, m = 150) it flags 160 fits, 125 of
+# them falsely, and removes 22%. Every CV row and pick was unchanged.
+# Keeping a fit flagged once its previous gamma was flagged removed 44% and
+# 33% with 5 and 179 false flags. Past m = 634 the budget is not below the
+# default max_iter, and the engine ignores the flag.
+_INTERIOR_FIRST_SHARE = 4
 
 
 def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf",
@@ -226,7 +228,7 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
     Gammas run in grid order (ascending on the standard grids) within each
     (fold, sigma, delta), and a dual fit starts on the interior point
     (``SolverConfig.interior_first``) when the previous gamma's fit at the
-    same epsilon switched to it or ran more than ``_INTERIOR_FIRST_STEPS`` m
+    same epsilon ran more than ``_switch_budget(m) // _INTERIOR_FIRST_SHARE``
     pair steps. A fit that raised leaves no such evidence for the next gamma.
     """
     if method not in METHODS:
@@ -244,6 +246,7 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
     rows = []
     for fold_id, (tr, va) in enumerate(splits):
         train = subset(data, tr)
+        hard = _switch_budget(train.m) // _INTERIOR_FIRST_SHARE
         X_val, y_val = data.features[va], data.labels[va]
         v_val = eval_v[va]
         for sigma in sigmas:
@@ -253,18 +256,14 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
                 kspec = _kernel_spec(kernel_kind, delta)
                 K = gram(kspec, train.features)
                 cross = cross_gram(kspec, train.features, X_val)
-                previous = dict.fromkeys(epsilons)  # last gamma's model per epsilon
+                steps = dict.fromkeys(epsilons, 0)  # last gamma's pair steps
                 for gamma in grid.gammas:
                     for epsilon in epsilons:
                         cell = dict(gamma=gamma, delta=delta, epsilon=epsilon,
                                     sigma=sigma, fold=fold_id)
-                        last, model = previous[epsilon], None
-                        interior_first = last is not None and (
-                            last.interior_iterations > 0
-                            or last.iterations > _INTERIOR_FIRST_STEPS * train.m)
                         try:
                             model = _fit_cell(method, train, K, gamma, epsilon,
-                                              weight, interior_first)
+                                              weight, steps[epsilon] > hard)
                             pred = decide(_score_with_cross(model, cross))
                             cell["acc"] = accuracy(y_val, pred)
                             cell["vac"] = (vac(y_val, pred, v_val)
@@ -276,7 +275,7 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
                             cell.update(acc=np.nan, vac=np.nan, valid=False,
                                         converged=False, iterations=0,
                                         interior_iterations=0, error=str(exc))
-                        previous[epsilon] = model
+                        steps[epsilon] = cell["iterations"]
                         rows.append(cell)
     return rows
 

@@ -46,12 +46,9 @@ A fit told to start on the interior point (``SolverConfig.interior_first``)
 skips the budget: it runs the same cold interior point, snap and polish,
 so where the budget would have run out its beta, bias and status are the
 switched fit's, bit for bit, with ``_switch_budget(m)`` fewer pair steps.
-Cross-validation sets it when the previous gamma's fit of the same cell
-switched or ran more than 3 m pair steps (see ``modelsel.cv_table``); the
-engine keeps no state between calls. On cv-tube (4 seeds x 2 jobs, m =
-160) that cut pair steps by 44% with 5 false flags in 136, fits the pair
-loop would have solved, which then end at another point within the
-tolerance; every CV row and pick stayed the same.
+Where no fit switches (max_iter <= budget) the flag changes nothing.
+``modelsel.cv_table`` sets it from the previous gamma's fit; the engine
+keeps no state between calls.
 
 The weighted epsilon-insensitive dual uses symmetric per-sample boxes
 |b_i| <= gamma*v_i; the hinge-loss dual uses one-sided boxes and eps = 0.
@@ -133,8 +130,9 @@ class SolverConfig:
     On a fit whose budget would have run out the result is the same, bit for
     bit, at ``_switch_budget(m)`` fewer pair steps; on one the pair loop
     would have solved it costs an interior solve and may end at another
-    point within the tolerance. ``cv_table`` sets it when the previous
-    gamma's fit of the same cell switched or ran more than 3 m pair steps.
+    point within the tolerance. Where the budget is not below ``max_iter``
+    (from m = 635 on at the default) it is ignored, and the pair loop runs
+    alone. ``modelsel.cv_table`` sets it.
     """
 
     gamma: float
@@ -382,16 +380,19 @@ def _solve_pairwise(K, target, eps, lo, hi, tolerance=SolverConfig.tolerance,
     the interior point, snapped, and handed back to the pair loop for the
     steps left of ``max_iter``; that loop decides status, violation and
     bias. A fit that converges or stalls within the budget, or any call with
-    max_iter <= budget, is the pair loop alone, bit for bit.
+    max_iter <= budget, ``interior_first`` or not, is the pair loop alone,
+    bit for bit.
     """
     m = target.size
     budget = _switch_budget(m)
+    switch = budget < max_iter  # otherwise the pair loop runs alone
     first = 0
-    if not interior_first:
+    if not (interior_first and switch):
         res = _pair_loop(K, target, eps, lo, hi, np.zeros(m), tolerance,
                          min(budget, max_iter))
         first = res.iterations
-    if interior_first or (res.status == "max_iter" and budget < max_iter):
+        switch = switch and res.status == "max_iter"
+    if switch:
         # loaded on the first switch, so importing cdfsvm compiles none of it
         from .interior import interior_point, snap
         beta, interior = interior_point(K, target, eps, lo, hi)

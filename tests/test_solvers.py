@@ -659,6 +659,29 @@ def test_interior_first_matches_every_degenerate_instance_that_switches():
     assert switched == 17
 
 
+def test_interior_first_is_ignored_where_no_fit_switches():
+    # with max_iter within the budget the flag leaves the pair loop alone
+    train, K, weights = large_gamma_tube_cell()
+    args = tube_cell_args(train, K, weights)
+    budget = _switch_budget(train.m)
+    first = _solve_pairwise(*args, max_iter=budget, interior_first=True)
+    assert first.interior_iterations == 0
+    assert_same_result(first, cold_loop(*args, max_iter=budget))
+    # and from m = 635 on the budget reaches the default max_iter
+    rng = np.random.default_rng(635)
+    for m in (634, 635):
+        X = rng.standard_normal((m, 2))
+        caps = np.full(m, 0.05)
+        args = (gram(KernelSpec.rbf(1.0), X).values, np.sign(X[:, 0]), np.zeros(m),
+                -caps, caps)
+        first = _solve_pairwise(*args, interior_first=True)
+        if m == 634:
+            assert first.interior_iterations > 0
+        else:
+            assert first.interior_iterations == 0 and first.converged
+            assert_same_result(first, _solve_pairwise(*args))
+
+
 def test_fit_record_of_every_method(tmp_path):
     # the dual fits record the engine's counts, the closed-form fits leave
     # 0, and a version-3 model file keeps both
