@@ -205,6 +205,12 @@ def _cmd_cv(ns) -> int:
     data = _load(ns, ns.dataset)
     result = grid_search(data, ns.method, _grid_spec(ns, ns.indicator),
                          ns.kernel, _weight_config(ns))
+    failed = sum(not row["valid"] for row in result.rows)
+    stopped = sum(row["valid"] and not row["converged"] for row in result.rows)
+    if failed or stopped:
+        print(f"warning: {failed} of {len(result.rows)} fits failed and {stopped} "
+              "stopped before the KKT tolerance; their cells were not selectable",
+              file=sys.stderr)
     os.makedirs(ns.out_dir, exist_ok=True)
     provenance = _provenance(ns, "cv")
     table_path = os.path.join(ns.out_dir, "cv-table.csv")

@@ -39,11 +39,23 @@ def _frozen_array(values, dtype=float, ndim=None, what="array"):
 
 
 def _frozen_symmetric(values, what):
-    """Read-only copy of a square, exactly symmetric matrix."""
+    """Read-only copy of a square, finite, exactly symmetric matrix.
+
+    Both tests run in one pass over row blocks, each block against the
+    same columns, so neither allocates an m x m mask. A non-finite entry
+    anywhere is reported as such, before any asymmetry.
+    """
     arr = _frozen_array(values)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be square")
-    if not np.array_equal(arr, arr.T):
+    rows = _block_rows(arr.shape[1])
+    symmetric = True
+    for lo in range(0, arr.shape[0], rows):
+        block = arr[lo:lo + rows]
+        if not np.isfinite(block).all():
+            raise ValueError(f"{what} must be finite")
+        symmetric = symmetric and np.array_equal(block, arr[:, lo:lo + rows].T)
+    if not symmetric:
         raise ValueError(f"{what} must be exactly symmetric")
     return arr
 

@@ -2,8 +2,8 @@
 
 A single pair's K(x, x') is the 1 x 1 cross-Gram. The rbf kernel uses the
 2*delta**2 denominator, so bandwidth grids expressed as powers of two apply
-directly. Gram matrices are exactly symmetric as built (see ``gram``) and
-carry a unit diagonal for rbf.
+directly. Gram matrices are exactly symmetric as built (see ``cross_gram``)
+and carry a unit diagonal for rbf.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
     operations and their order are those of the one-expression formula, so
     the entries agree with it bit for bit.
 
-    ``cross_gram(spec, X, X)`` is not exactly symmetric in general: for a
-    column-sliced, strided or reversed array, or a list, BLAS may compute
-    X X' as a general product, whose two triangles can round differently
-    when it runs more than one thread; wrapping such a result in
-    ``GramMatrix`` can then raise ValueError. ``gram`` is the exactly
-    symmetric path.
+    When ``Z is X``, X is converted once to a C-contiguous array that is
+    both operands, so numpy computes X X' by BLAS syrk (one triangle,
+    copied to the other) and every rbf step after it is elementwise: the
+    result is exactly symmetric as built, whatever X's layout or type.
     """
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    if Z is X:
+        X = Z = np.ascontiguousarray(X, dtype=float)
+    else:
+        X = np.asarray(X, dtype=float)
+        Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape} vs {Z.shape}")
     if spec.kind == "linear":
@@ -69,14 +70,8 @@ class GramMatrix:
 
 
 def gram(spec: KernelSpec, X) -> GramMatrix:
-    """Build the Gram matrix of one sample set.
-
-    One C-contiguous array of the samples is both operands of ``cross_gram``,
-    so numpy computes X X' by BLAS syrk (one triangle, copied to the other)
-    and every rbf step after it is elementwise: the result is exactly
-    symmetric as built. The rbf diagonal is pinned to 1.
-    """
-    X = np.ascontiguousarray(X, dtype=float)
+    """Build the Gram matrix of one sample set: ``cross_gram(spec, X, X)``,
+    exactly symmetric as built, with the rbf diagonal pinned to 1."""
     values = cross_gram(spec, X, X)
     if spec.kind == "rbf":
         np.fill_diagonal(values, 1.0)

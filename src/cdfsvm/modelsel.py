@@ -196,20 +196,29 @@ def _fit_cell(method: str, train: Dataset, K, gamma: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-# A dual fit whose previous-gamma fit of the same (fold, sigma, delta,
-# epsilon) ran more than 1 / _INTERIOR_FIRST_SHARE of the switch budget in
-# pair steps, 3 m at m <= 175, skips the budget and starts on the interior
-# point. Hard fits cluster at large gamma, so one is a good sign of the next.
-# A flagged fit is judged by its own pair steps, all of them polish. On
-# cv-tube (seeds 1, 14, 19 and 31, 2 jobs each, m = 160) the rule flags
-# 116 fits, 111 of the 194 that switch, and removes 38% of the pair steps;
-# its 5 false flags, fits the pair loop would have solved, are 4 eps-l1vsvm
-# fits at gamma = 256 (1,702-1,894 steps) and 1 csvm fit (430). On bayes
-# (seeds 1, 2, 3 and 14, 10 jobs each, m = 150) it flags 160 fits, 125 of
-# them falsely, and removes 22%. Every CV row and pick was unchanged.
-# Keeping a fit flagged once its previous gamma was flagged removed 44% and
-# 33% with 5 and 179 false flags. Past m = 634 the budget is not below the
-# default max_iter, and the engine ignores the flag.
+# A dual fit starts on the interior point, skipping the switch budget, on
+# either of two kinds of evidence. Previous gamma: the fit of the same
+# (fold, sigma, delta, epsilon) at the previous gamma ran more than
+# 1 / _INTERIOR_FIRST_SHARE of the budget in pair steps, 3 m at m <= 175;
+# hard fits cluster at large gamma, and a flagged fit is judged by its own,
+# polish-only steps. Previous fold: the fit of the same (sigma, delta,
+# gamma, epsilon) cell on the previous fold ran the interior point; two
+# folds' training sets share all but one part each, and this catches the
+# first hard gamma of a path, which the previous-gamma rule cannot see. A
+# fit that raised leaves neither kind. On cv-tube (seeds 1, 14, 19 and 31,
+# 2 jobs each, m = 160) the two kinds flag 193 fits (98 by the previous
+# fold alone, 26 by the previous gamma alone, 69 by both), 173 of the 194
+# that switch, and cut pair steps 585,744 -> 234,197 (365,252 with the
+# previous gamma alone); the 20 false flags, fits the pair loop would have
+# solved, are eps-l1vsvm fits at gamma 16 and 256 and csvm fits at 256
+# (75-1,894 steps). On bayes (seeds 1, 2, 3 and 14, 10 jobs each, m = 150)
+# they flag 311 fits, 264 of them falsely (eps-l1svm and eps-l1vsvm at
+# gamma 2-16, 85-1,776 steps), and cut 795,270 -> 549,533 (620,226), while
+# interior-point iterations rise 651 -> 3,065 (1,806). Every CV row and
+# pick was unchanged. Keeping a fit flagged once its previous gamma was
+# flagged removed 44% and 33% of the steps with 5 and 179 false flags.
+# Past m = 634 the budget is not below the default max_iter, and the engine
+# ignores the flag.
 _INTERIOR_FIRST_SHARE = 4
 
 
@@ -229,7 +238,9 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
     (fold, sigma, delta), and a dual fit starts on the interior point
     (``SolverConfig.interior_first``) when the previous gamma's fit at the
     same epsilon ran more than ``_switch_budget(m) // _INTERIOR_FIRST_SHARE``
-    pair steps. A fit that raised leaves no such evidence for the next gamma.
+    pair steps, or when the previous fold's fit of the same (sigma, delta,
+    gamma, epsilon) cell ran the interior point. A fit that raised leaves no
+    evidence of either kind.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -244,6 +255,7 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
     vac_defined = bool(np.all(eval_v > 0.0))
 
     rows = []
+    switched = {}  # per cell: the previous fold's fit ran the interior point
     for fold_id, (tr, va) in enumerate(splits):
         train = subset(data, tr)
         hard = _switch_budget(train.m) // _INTERIOR_FIRST_SHARE
@@ -261,9 +273,10 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
                     for epsilon in epsilons:
                         cell = dict(gamma=gamma, delta=delta, epsilon=epsilon,
                                     sigma=sigma, fold=fold_id)
+                        key = (sigma, delta, gamma, epsilon)
                         try:
-                            model = _fit_cell(method, train, K, gamma, epsilon,
-                                              weight, steps[epsilon] > hard)
+                            model = _fit_cell(method, train, K, gamma, epsilon, weight,
+                                              steps[epsilon] > hard or switched.get(key, False))
                             pred = decide(_score_with_cross(model, cross))
                             cell["acc"] = accuracy(y_val, pred)
                             cell["vac"] = (vac(y_val, pred, v_val)
@@ -276,6 +289,7 @@ def cv_table(data: Dataset, method: str, grid: GridSpec, kernel_kind: str = "rbf
                                         converged=False, iterations=0,
                                         interior_iterations=0, error=str(exc))
                         steps[epsilon] = cell["iterations"]
+                        switched[key] = cell["interior_iterations"] > 0
                         rows.append(cell)
     return rows
 

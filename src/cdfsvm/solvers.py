@@ -47,8 +47,9 @@ skips the budget: it runs the same cold interior point, snap and polish,
 so where the budget would have run out its beta, bias and status are the
 switched fit's, bit for bit, with ``_switch_budget(m)`` fewer pair steps.
 Where no fit switches (max_iter <= budget) the flag changes nothing.
-``modelsel.cv_table`` sets it from the previous gamma's fit; the engine
-keeps no state between calls.
+``modelsel.cv_table`` sets it from two kinds of evidence, the previous
+gamma's fit of the same fold and the previous fold's fit of the same
+cell; the engine keeps no state between calls.
 
 The weighted epsilon-insensitive dual uses symmetric per-sample boxes
 |b_i| <= gamma*v_i; the hinge-loss dual uses one-sided boxes and eps = 0.
@@ -132,7 +133,9 @@ class SolverConfig:
     would have solved it costs an interior solve and may end at another
     point within the tolerance. Where the budget is not below ``max_iter``
     (from m = 635 on at the default) it is ignored, and the pair loop runs
-    alone. ``modelsel.cv_table`` sets it.
+    alone. ``modelsel.cv_table`` sets it when the previous gamma's fit of
+    the same fold was hard or the previous fold's fit of the same cell ran
+    the interior point.
     """
 
     gamma: float

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -7,13 +8,14 @@ import re
 import numpy as np
 import pytest
 
-from cdfsvm import cli
+from cdfsvm import cli, modelsel
 from cdfsvm.cli import main
 from cdfsvm.core import decide
 from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d, load_csv
 from cdfsvm.evaluation import vac
 from cdfsvm.modelsel import fit_full
-from cdfsvm.solvers import load_model, predict, save_model
+from cdfsvm.solvers import (SolverConfig, SolverError, load_model, predict,
+                            save_model)
 
 
 def run_cli(*args):
@@ -255,6 +257,32 @@ def test_cv_single_cell_echo(tmp_path, capsys):
     assert "gamma=2.0" in best
     table = (out_dir / "cv-table.csv").read_text()
     assert table.splitlines()[1].startswith("gamma,")
+
+
+def test_cv_warns_when_cells_were_not_selectable(tmp_path, capsys, monkeypatch):
+    csv_path = tmp_path / "toy.csv"
+    make_toy_csv(csv_path, seed=8)
+    args = ("cv", "--dataset", csv_path, "--method", "csvm", "--kernel", "linear",
+            "--gammas", "0.03125,1.0,8.0", "--folds", 3)
+    assert run_cli(*args, "--out-dir", tmp_path / "ok") == 0
+    assert capsys.readouterr().err == ""
+    # capped at 5 pair steps, the fits at the smallest gamma stop short;
+    # those at gamma 1 raise
+    monkeypatch.setattr(modelsel, "SolverConfig",
+                        functools.partial(SolverConfig, max_iter=5))
+    fit = modelsel.fit_csvm
+
+    def failing_at_1(train, K, cfg):
+        if cfg.gamma == 1.0:
+            raise SolverError("refused")
+        return fit(train, K, cfg)
+    monkeypatch.setattr(modelsel, "fit_csvm", failing_at_1)
+    out_dir = tmp_path / "capped"
+    assert run_cli(*args, "--out-dir", out_dir) == 0  # exit code unchanged
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: 3 of 9 fits failed and 3 stopped before the KKT "
+                   "tolerance; their cells were not selectable"]
+    assert "gamma=8.0" in (out_dir / "cv-best.txt").read_text()
 
 
 def test_cv_deterministic(tmp_path):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cdfsvm.core import GKernelSpec, KernelSpec
-from cdfsvm.distribution import MeasureSpec, v_matrix, v_vector
-from cdfsvm.kernels import cross_gram, gram
+from cdfsvm.distribution import MeasureSpec, VMatrix, v_matrix, v_vector
+from cdfsvm.kernels import GramMatrix, cross_gram, gram
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -191,15 +191,17 @@ TWO_THREADS_CHILD = textwrap.dedent("""
     import numpy as np
     from cdfsvm.core import GKernelSpec, KernelSpec
     from cdfsvm.distribution import MeasureSpec, v_matrix
-    from cdfsvm.kernels import gram
+    from cdfsvm.kernels import GramMatrix, cross_gram, gram
 
-    # every other column: without gram's contiguous conversion numpy copies
-    # each operand of X @ X.T and calls gemm, whose two-thread result differs
-    # across the diagonal here
+    # every other column: without cross_gram's contiguous conversion numpy
+    # copies each operand of X @ X.T and calls gemm, whose two-thread result
+    # differs across the diagonal here
     X = np.random.default_rng(0).random((161, 60))[:, ::2]
     gram(KernelSpec.rbf(1.0), X)
     gram(KernelSpec.linear(), X)
     v_matrix(X, GKernelSpec.gaussian(0.5), MeasureSpec.empirical(X))
+    for spec in (KernelSpec.rbf(1.0), KernelSpec.linear()):
+        GramMatrix(cross_gram(spec, X, X), spec)
 """)
 
 
@@ -213,7 +215,8 @@ def test_gram_symmetric_with_two_blas_threads_on_column_sliced_input(tmp_path):
 
 def test_gram_peak_memory_below_two_and_a_quarter_matrices():
     # the product X X' with one block of scratch, symmetric as built, then
-    # GramMatrix's read-only copy and its m x m boolean symmetry check
+    # GramMatrix's read-only copy, checked block by block: about 2.03 m x m
+    # floats at m = 600
     m = 600
     X = np.random.default_rng(9).random((m, 2))
     tracemalloc.start()
@@ -223,3 +226,35 @@ def test_gram_peak_memory_below_two_and_a_quarter_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * m * m * 8
+
+
+def symmetric_matrix_constructors():
+    return (("Gram matrix", lambda values: GramMatrix(values, KernelSpec.linear())),
+            ("V-matrix", lambda values: VMatrix(values, GKernelSpec.step(),
+                                                MeasureSpec.point_mass())))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gram_and_v_matrices_refuse_non_finite_entries(bad):
+    # m = 300 spans six row blocks; a symmetric pair of bad entries, and one
+    # on the diagonal in the last block behind an asymmetry in the first
+    pair = np.ones((300, 300))
+    pair[7, 250] = pair[250, 7] = bad
+    last = np.ones((300, 300))
+    last[0, 1] = 2.0
+    last[299, 299] = bad
+    for what, construct in symmetric_matrix_constructors():
+        for values in (pair, last):
+            with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+                construct(values)
+
+
+def test_gram_and_v_matrices_refuse_asymmetry_in_any_block():
+    for what, construct in symmetric_matrix_constructors():
+        for i, j in ((0, 1), (120, 7), (299, 298)):
+            values = np.ones((300, 300))
+            values[i, j] = 1.0 + 2.0**-52
+            with pytest.raises(ValueError, match=f"^{what} must be exactly symmetric$"):
+                construct(values)
+            values[j, i] = values[i, j]
+            assert np.array_equal(construct(values).values, values)

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cdfsvm.modelsel import (GridSpec, METHODS, WeightConfig, cv_table,
                              fit_full, grid_search, kfold_split, rows_to_csv,
                              select_best)
 from cdfsvm.solvers import (SolverConfig, SolverError, _score_with_cross,
-                            fit_eps_l1_vsvm, fit_vsvm, predict)
+                            _switch_budget, fit_eps_l1_vsvm, fit_vsvm, predict)
 from cdfsvm.core import decide
 
 
@@ -232,7 +233,9 @@ def test_cv_table_records_convergence(monkeypatch, tmp_path):
 
 # ---------------------------------------------------------------------------
 # the interior-first rule: a dual fit skips the pair-step budget when the
-# previous gamma's fit of its (fold, sigma, delta, epsilon) was hard
+# previous gamma's fit of its (fold, sigma, delta, epsilon) was hard, or when
+# the previous fold's fit of its (sigma, delta, gamma, epsilon) cell ran the
+# interior point
 
 HARD_GRID = dict(gammas=(1.0, 16.0, 256.0), deltas=(0.25,),
                  epsilons=(2.0**-4, 2.0**-2), sigmas=(0.5,), folds=5)
@@ -260,13 +263,31 @@ def previous_rows(rows):
     return previous
 
 
-def expected_flags(data, grid, rows):
-    """Per row, whether its previous row ran more than 3 m pair steps, the
-    rule at m <= 175."""
+def previous_fold_rows(rows):
+    """Per row, the same cell's row on the previous fold, or None on the
+    first fold."""
+    last, previous = {}, []
+    for row in rows:
+        key = (row["sigma"], row["delta"], row["gamma"], row["epsilon"])
+        previous.append(last.get(key))
+        last[key] = row
+    return previous
+
+
+def evidence(data, grid, rows):
+    """Per row, (previous gamma, previous fold): whether its previous-gamma
+    row ran more than 3 m pair steps, the rule at m <= 175, and whether its
+    previous-fold row ran the interior point."""
     sizes = [tr.size for tr, _ in kfold_split(data.m, grid.folds, grid.seed, data.labels)]
     assert max(sizes) <= 175
-    return [prev is not None and prev["iterations"] > 3 * sizes[row["fold"]]
-            for row, prev in zip(rows, previous_rows(rows))]
+    return [(prev is not None and prev["iterations"] > 3 * sizes[row["fold"]],
+             before is not None and before["interior_iterations"] > 0)
+            for row, prev, before in zip(rows, previous_rows(rows),
+                                         previous_fold_rows(rows))]
+
+
+def expected_flags(data, grid, rows):
+    return [by_gamma or by_fold for by_gamma, by_fold in evidence(data, grid, rows)]
 
 
 @pytest.mark.parametrize("method, seed", [("eps-l1vsvm", 10007), ("csvm", 6)])
@@ -281,21 +302,68 @@ def test_cv_table_starts_on_the_interior_point_after_a_hard_fit(monkeypatch, met
     assert any(flags)
     assert all(row["interior_iterations"] > 0 for row, f in zip(rows, flags) if f)
     # a fit that ran many steps without switching is evidence too
-    assert any(f and prev["interior_iterations"] == 0
-               for prev, f in zip(previous_rows(rows), flags))
+    assert any(by_gamma and prev["interior_iterations"] == 0
+               for prev, (by_gamma, _) in zip(previous_rows(rows),
+                                              evidence(data, grid, rows)))
+
+
+def test_a_cell_that_switched_on_the_previous_fold_starts_on_the_interior_point(
+        monkeypatch, caplog):
+    data = gen_gaussian_2d(GaussianSpec2D(n=100, seed=10007))
+    grid = GridSpec(**HARD_GRID)
+    models = []
+    fit = modelsel.fit_eps_l1_vsvm
+
+    def recording(*args):
+        models.append(fit(*args))
+        return models[-1]
+    monkeypatch.setattr(modelsel, "fit_eps_l1_vsvm", recording)
+    flags = recorded_flags(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="cdfsvm.solvers"):
+        rows = cv_table(data, "eps-l1vsvm", grid)
+    lines = [record.getMessage() for record in caplog.records]
+    assert len(lines) == len(rows) == len(models)
+    assert flags == expected_flags(data, grid, rows)
+    by_fold_alone = [i for i, (by_gamma, by_fold) in enumerate(evidence(data, grid, rows))
+                     if by_fold and not by_gamma]
+    assert by_fold_alone and all(rows[i]["fold"] > 0 for i in by_fold_alone)
+    assert all(flags[i] and ", 0 pair steps before the switch," in lines[i]
+               for i in by_fold_alone)
+    # refit cold: where that fit switches, the flagged one is the same fit
+    # without the budget
+    splits = kfold_split(data.m, grid.folds, grid.seed, labels=data.labels)
+    wcfg = WeightConfig()
+    switched_cold = 0
+    for i in by_fold_alone:
+        row = rows[i]
+        train = subset(data, splits[row["fold"]][0])
+        cold = fit(train, gram(KernelSpec.rbf(row["delta"]), train.features),
+                   wcfg.weights_for(train.features, data.features, row["sigma"]),
+                   SolverConfig(gamma=row["gamma"], epsilon=row["epsilon"]))
+        if cold.interior_iterations == 0:
+            continue
+        switched_cold += 1
+        model = models[i]
+        assert np.array_equal(model.coefficients, cold.coefficients)
+        assert model.intercept == cold.intercept
+        assert model.converged == cold.converged
+        assert model.interior_iterations == cold.interior_iterations
+        assert model.iterations == cold.iterations - _switch_budget(train.m)
+    assert switched_cold
 
 
 def test_a_flagged_fit_is_judged_by_its_own_steps(monkeypatch):
-    # the flag does not stick: a flagged fit's few polish steps leave the
-    # next gamma to start cold, and there the budget can run out again
+    # no row after a flagged row is flagged by previous-gamma evidence: a
+    # flagged fit's few polish steps are no sign of the next gamma's
     data = gen_gaussian_2d(GaussianSpec2D(n=100, seed=10007))
     grid = GridSpec(**HARD_GRID)
     flags = recorded_flags(monkeypatch)
     rows = cv_table(data, "eps-l1vsvm", grid)
     flagged = {id(row) for row, f in zip(rows, flags) if f}
-    after_flagged = [(row, f) for row, prev, f in zip(rows, previous_rows(rows), flags)
+    after_flagged = [(row, by_gamma) for row, prev, (by_gamma, _)
+                     in zip(rows, previous_rows(rows), evidence(data, grid, rows))
                      if prev is not None and id(prev) in flagged]
-    assert after_flagged and not any(f for _, f in after_flagged)
+    assert after_flagged and not any(by_gamma for _, by_gamma in after_flagged)
     assert any(row["interior_iterations"] > 0 for row, _ in after_flagged)
 
 
@@ -303,19 +371,39 @@ def test_a_fit_that_raised_leaves_no_evidence(monkeypatch):
     data = gen_gaussian_2d(GaussianSpec2D(n=100, seed=10007))
     grid = GridSpec(**HARD_GRID)
     fit = modelsel.fit_eps_l1_vsvm
+    trains, failing_folds = [], set(range(grid.folds))
 
     def failing_at_16(train, K, v, cfg):
-        if cfg.gamma == 16.0:
+        if train not in trains:  # datasets compare by identity: one per fold
+            trains.append(train)
+        if cfg.gamma == 16.0 and trains.index(train) in failing_folds:
             raise SolverError("refused")
         return fit(train, K, v, cfg)
     monkeypatch.setattr(modelsel, "fit_eps_l1_vsvm", failing_at_16)
     flags = recorded_flags(monkeypatch)
+
+    # on every fold: no gamma-256 row is flagged by previous-gamma evidence
     rows = cv_table(data, "eps-l1vsvm", grid)
     raised = [row for row in rows if not row["valid"]]
     assert raised and all(row["gamma"] == 16.0 for row in raised)
     assert all((row["iterations"], row["interior_iterations"]) == (0, 0) for row in raised)
     assert flags == expected_flags(data, grid, rows)
-    assert not any(f for row, f in zip(rows, flags) if row["gamma"] == 256.0)
+    assert not any(by_gamma for row, (by_gamma, _) in zip(rows, evidence(data, grid, rows))
+                   if row["gamma"] == 256.0)
+
+    # on fold 1 only: a gamma-16 cell that switched on fold 0 is not flagged
+    # on fold 2
+    failing_folds.intersection_update({1})
+    trains.clear()
+    flags.clear()
+    rows = cv_table(data, "eps-l1vsvm", grid)
+    assert [row["fold"] for row in rows if not row["valid"]] == [1, 1]
+    assert flags == expected_flags(data, grid, rows)
+    at_16 = {(row["fold"], row["epsilon"]): (row, f) for row, f in zip(rows, flags)
+             if row["gamma"] == 16.0}
+    eps = [e for e in grid.epsilons
+           if at_16[0, e][0]["interior_iterations"] > 0 and at_16[1, e][1]]
+    assert eps and not any(at_16[2, e][1] for e in eps)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +449,12 @@ def fold_delta_sigma_rows(data, method, grid, wcfg):
     """Reference: the grid walked fold -> delta -> sigma, building the model
     weight for every (fold, delta, sigma) from the public builders; a tube
     fit starts on the interior point when its previous-gamma fit ran more
-    than 3 m pair steps, the rule at m <= 175."""
+    than 3 m pair steps, the rule at m <= 175, or when its cell's fit on
+    the previous fold ran the interior point."""
     splits = kfold_split(data.m, grid.folds, grid.seed, labels=data.labels)
     eval_v = wcfg.weights_for(data.features, data.features).values
     epsilons = grid.epsilons if method == "eps-l1vsvm" else (None,)
+    switched = {}
     rows = []
     for fold, (tr, va) in enumerate(splits):
         train, y_val = subset(data, tr), data.labels[va]
@@ -381,11 +471,13 @@ def fold_delta_sigma_rows(data, method, grid, wcfg):
                 steps = dict.fromkeys(epsilons, 0)
                 for gamma in grid.gammas:
                     for epsilon in epsilons:
-                        hard = steps[epsilon] > 3 * train.m
+                        cell = (sigma, delta, gamma, epsilon)
+                        hard = steps[epsilon] > 3 * train.m or switched.get(cell, False)
                         model = (fit_vsvm(train, K, V, gamma) if method == "vsvm"
                                  else fit_eps_l1_vsvm(train, K, v, SolverConfig(
                                      gamma=gamma, epsilon=epsilon, interior_first=hard)))
                         steps[epsilon] = model.iterations
+                        switched[cell] = model.interior_iterations > 0
                         pred = decide(_score_with_cross(model, cross))
                         rows.append(dict(
                             gamma=gamma, delta=delta, epsilon=epsilon,
