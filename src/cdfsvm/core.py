@@ -38,25 +38,30 @@ def _frozen_array(values, dtype=float, ndim=None, what="array"):
     return arr
 
 
-def _frozen_symmetric(values, what):
-    """Read-only copy of a square, finite, exactly symmetric matrix.
+def _frozen_symmetric(values, what, nonnegative=False):
+    """Read-only copy of a square, finite, exactly symmetric matrix, with
+    no negative entry when ``nonnegative`` is set.
 
-    Both tests run in one pass over row blocks, each block against the
-    same columns, so neither allocates an m x m mask. A non-finite entry
-    anywhere is reported as such, before any asymmetry.
+    The tests run in one pass over row blocks, each block against the
+    same columns, so none allocates an m x m mask. A non-finite entry
+    anywhere is reported as such, before any asymmetry, and an asymmetry
+    before any negative entry.
     """
     arr = _frozen_array(values)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be square")
     rows = _block_rows(arr.shape[1])
-    symmetric = True
+    symmetric, negative = True, False
     for lo in range(0, arr.shape[0], rows):
         block = arr[lo:lo + rows]
         if not np.isfinite(block).all():
             raise ValueError(f"{what} must be finite")
         symmetric = symmetric and np.array_equal(block, arr[:, lo:lo + rows].T)
+        negative = negative or (nonnegative and bool((block < 0.0).any()))
     if not symmetric:
         raise ValueError(f"{what} must be exactly symmetric")
+    if negative:
+        raise ValueError(f"{what} entries must be non-negative")
     return arr
 
 

@@ -184,10 +184,8 @@ class VMatrix:
     mu: MeasureSpec
 
     def __post_init__(self):
-        vals = _frozen_symmetric(self.values, "V-matrix")
-        if np.any(vals < 0.0):
-            raise ValueError("V-matrix entries must be non-negative")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values",
+                           _frozen_symmetric(self.values, "V-matrix", nonnegative=True))
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,24 @@ switch only: ``import cdfsvm`` compiles none of it.
 
 by a primal-dual interior point with Mehrotra's predictor-corrector
 (Mehrotra, SIAM J. Optim. 2(4), 1992), as in the interior-point SVM solver
-of Fine & Scheinberg (JMLR 2, 2001). ``snap`` moves its result onto the
-kinks and bounds the pair loop works with.
+of Fine & Scheinberg (JMLR 2, 2001). Given a factor G of K = GG', it
+solves each Newton system through G, as they do for low-rank kernels.
+``snap`` moves its result onto the kinks and bounds the pair loop works
+with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .kernels import _low_rank_solver
+
 __all__ = ["interior_point", "snap"]
 
 _MAX_ITER = 50  # a safety cap; the stopping rule ends fits after 8-18
 
 
-def interior_point(K, target, eps, lo, hi):
+def interior_point(K, target, eps, lo, hi, factor=None):
     """Approximate maximizer of the engine's dual by a primal-dual interior
     point with Mehrotra's predictor-corrector; returns (beta, iterations).
 
@@ -42,10 +46,16 @@ def interior_point(K, target, eps, lo, hi):
     BLAS thread on a shared 2-core x86-64 box). Primal and dual share one
     step length, 0.99 of the way to the boundary.
 
+    With ``factor`` G (m x d) such that K = GG', each solve goes through
+    the d x d matrix I + G'EG by the Sherman-Morrison-Woodbury identity,
+    M^-1 b = E b - EG (I + G'EG)^-1 G'E b, and no m x m matrix is formed;
+    the residuals still use K.
+
     On a numerically singular K the residual bottoms out and then grows,
     so the iteration stops at the first iterate that does not improve
     max(scaled residual, mu), keeping the best one, or once both are below
-    1e-7. A solve that fails on a singular M also keeps it.
+    1e-7. A solve that fails on a singular M, or on a singular d x d
+    matrix, also keeps it.
     """
     m = target.size
     pos, neg = np.flatnonzero(hi > 0.0), np.flatnonzero(lo < 0.0)
@@ -81,8 +91,14 @@ def interior_point(K, target, eps, lo, hi):
         iterations += 1
         D = z / x + w / s
         E = scatter(1.0 / D)
-        M = K.copy()
-        M.flat[::m + 1] += 1.0 / E
+        if factor is None:
+            M = K.copy()
+            M.flat[::m + 1] += 1.0 / E
+
+            def solve(b):
+                return np.linalg.solve(M, b)
+        else:  # M = diag(1/E) + GG'
+            solve = _low_rank_solver(E, factor, factor)
         M_one = None
 
         def newton(c_z, c_w):
@@ -95,9 +111,9 @@ def interior_point(K, target, eps, lo, hi):
             # but importing scipy.linalg would double a bare interpreter's
             # memory (27 to 55 MB)
             if M_one is None:  # the predictor's solve also gives M^-1 1
-                d_beta, M_one = np.linalg.solve(M, np.column_stack([c, ones])).T
+                d_beta, M_one = solve(np.column_stack([c, ones])).T
             else:
-                d_beta = np.linalg.solve(M, c)
+                d_beta = solve(c)
             dy = (-r_e - d_beta.sum()) / M_one.sum()
             d_beta += dy * M_one
             dx = (a - sign * (K @ d_beta - dy)[idx]) / D

@@ -3,16 +3,18 @@
 A single pair's K(x, x') is the 1 x 1 cross-Gram. The rbf kernel uses the
 2*delta**2 denominator, so bandwidth grids expressed as powers of two apply
 directly. Gram matrices are exactly symmetric as built (see ``cross_gram``)
-and carry a unit diagonal for rbf.
+and carry a unit diagonal for rbf; a linear one built by ``gram`` also
+keeps its factor, the samples X with K = XX', and ``_low_rank_solver``
+solves a diagonal plus UX' through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import KernelSpec, _block_rows, _frozen_symmetric
+from .core import KernelSpec, _block_rows, _frozen_array, _frozen_symmetric
 
 __all__ = ["GramMatrix", "cross_gram", "gram"]
 
@@ -60,10 +62,16 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric kernel matrix over one sample set, with its kernel spec."""
+    """Symmetric kernel matrix over one sample set, with its kernel spec.
+
+    ``_factor`` is the G with values = GG' exactly, as computed: ``gram``
+    sets it to the samples on a linear kernel. Any other GramMatrix,
+    including one built by hand, has None, and fits solve with its values.
+    """
 
     values: np.ndarray
     spec: KernelSpec
+    _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_symmetric(self.values, "Gram matrix"))
@@ -71,8 +79,29 @@ class GramMatrix:
 
 def gram(spec: KernelSpec, X) -> GramMatrix:
     """Build the Gram matrix of one sample set: ``cross_gram(spec, X, X)``,
-    exactly symmetric as built, with the rbf diagonal pinned to 1."""
+    exactly symmetric as built, with the rbf diagonal pinned to 1. A linear
+    one keeps a read-only copy of X as its factor."""
+    X = np.ascontiguousarray(X, dtype=float)
     values = cross_gram(spec, X, X)
     if spec.kind == "rbf":
         np.fill_diagonal(values, 1.0)
-    return GramMatrix(values, spec)
+    K = GramMatrix(values, spec)
+    if spec.kind == "linear":
+        object.__setattr__(K, "_factor", _frozen_array(X))
+    return K
+
+
+def _low_rank_solver(t, U, G):
+    """Solve (diag(1/t) + UG') x = b, for m x d matrices U and G, through the
+    d x d matrix I + G' diag(t) U by the Sherman-Morrison-Woodbury identity:
+    x = tb - tU (I + G'tU)^-1 G'tb. Returns the solve, which takes a vector
+    or a matrix of right-hand sides and raises LinAlgError when the d x d
+    matrix is singular."""
+    tU = t[:, None] * U
+    S = G.T @ tU
+    S.flat[::S.shape[0] + 1] += 1.0
+
+    def solve(b):
+        tb = (t * b.T).T
+        return tb - tU @ np.linalg.solve(S, G.T @ tb)
+    return solve

@@ -120,6 +120,19 @@ def test_cross_gram_matches_gram_block():
     assert np.allclose(C, per_pair_rbf(X, Z, 0.8), atol=1e-12)
 
 
+def test_linear_gram_keeps_its_samples_as_factor():
+    # a read-only copy of X with values = XX' bit for bit, for any layout of
+    # X; rbf Grams and hand-built ones have none
+    X = np.random.default_rng(11).random((6, 9))[:, ::3]
+    K = gram(KernelSpec.linear(), X)
+    assert np.array_equal(K._factor, X) and not K._factor.flags.writeable
+    assert np.array_equal(K.values, K._factor @ K._factor.T)
+    X[0, 0] = 7.0
+    assert K._factor[0, 0] != 7.0
+    assert gram(KernelSpec.rbf(0.5), X)._factor is None
+    assert GramMatrix(K.values, KernelSpec.linear())._factor is None
+
+
 def one_expression_rbf(X, Z, delta):
     """The rbf cross-Gram as one numpy expression, allocating each step."""
     sx = np.sum(X * X, axis=1)
@@ -247,6 +260,32 @@ def test_gram_and_v_matrices_refuse_non_finite_entries(bad):
         for values in (pair, last):
             with pytest.raises(ValueError, match=f"^{what} must be finite$"):
                 construct(values)
+
+
+def test_v_matrix_refuses_a_negative_entry_in_any_block():
+    # the sign test runs in the symmetry test's row-block pass: an asymmetry
+    # is still reported first, a Gram matrix may hold negative entries, and
+    # a V-matrix allocates its read-only copy and no m x m mask
+    def v_matrix_of(values):
+        return VMatrix(values, GKernelSpec.step(), MeasureSpec.point_mass())
+
+    for i, j in ((0, 1), (120, 7), (299, 298)):
+        values = np.ones((300, 300))
+        values[i, j] = values[j, i] = -1.0
+        with pytest.raises(ValueError, match="^V-matrix entries must be non-negative$"):
+            v_matrix_of(values)
+        assert np.array_equal(GramMatrix(values, KernelSpec.linear()).values, values)
+        values[0, 2] = 2.0
+        with pytest.raises(ValueError, match="^V-matrix must be exactly symmetric$"):
+            v_matrix_of(values)
+    values = np.ones((600, 600))  # the mask would be 1/8 of the copy
+    tracemalloc.start()
+    try:
+        v_matrix_of(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * values.nbytes
 
 
 def test_gram_and_v_matrices_refuse_asymmetry_in_any_block():

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cdfsvm.core import (Dataset, GKernelSpec, KernelSpec, Scaler, decide, norma
 from cdfsvm.datagen import GaussianSpec2D, gen_gaussian_2d
 from cdfsvm.distribution import MeasureSpec, VMatrix, VWeights, v_matrix
 from cdfsvm.interior import interior_point, snap
-from cdfsvm.kernels import cross_gram, gram
+from cdfsvm.kernels import GramMatrix, cross_gram, gram
 from cdfsvm.modelsel import METHODS, WeightConfig, fit_full, kfold_split
 from cdfsvm.solvers import (_MASK, _TAU, KernelModel, PairwiseResult,
                             SingularSystemError, SolverConfig, _pair_loop,
@@ -230,6 +231,19 @@ DEGENERATE = ("duplicate_rows", "rank1_linear", "eps_zero", "two_member_class",
 @st.composite
 def engine_instances(draw, family):
     """(K, target, eps, lo, hi) for one degenerate family of the engine's QP."""
+    return engine_problem(family, *draw_engine_parts(draw, family))
+
+
+@st.composite
+def linear_engine_instances(draw, family):
+    """``engine_instances`` on a linear kernel, with its factor: (K, target,
+    eps, lo, hi) and X, where K = XX' and X has 1-3 columns and 4-10 rows."""
+    X, *parts = draw_engine_parts(draw, family)
+    return engine_problem(family, X, *parts, linear=True), X
+
+
+def draw_engine_parts(draw, family):
+    """The parts ``engine_problem`` builds one instance of a family from."""
     m = draw(st.integers(4, 10))
     d = 1 if family == "rank1_linear" else draw(st.integers(1, 3))
     X = draw(arrays(float, (m, d), elements=st.floats(0.0, 1.0)))
@@ -252,7 +266,7 @@ def engine_instances(draw, family):
         v = draw(arrays(float, m, elements=st.floats(0.15, 1.0)))
     if family not in ("csvm_boxes", "eps_zero"):
         eps = draw(st.sampled_from([0.0625, 0.125, 0.25]))
-    return engine_problem(family, X, labels, width, gamma, v, eps)
+    return X, labels, width, gamma, v, eps
 
 
 def seeded_engine_instance(rng, family):
@@ -280,11 +294,13 @@ def seeded_engine_instance(rng, family):
     return engine_problem(family, X, labels, width, gamma, rng.uniform(0.15, 1.0, m), eps)
 
 
-def engine_problem(family, X, labels, width, gamma, v, eps):
+def engine_problem(family, X, labels, width, gamma, v, eps, linear=False):
     """(K, target, eps, lo, hi) of one family from its drawn parts; a family
-    that fixes the kernel, the weights or eps ignores the part drawn for it."""
+    that fixes the kernel, the weights or eps ignores the part drawn for it,
+    and ``linear`` replaces the rbf kernel by the linear one."""
     m = X.shape[0]
-    spec = KernelSpec.linear() if family == "rank1_linear" else KernelSpec.rbf(width)
+    linear = linear or family == "rank1_linear"
+    spec = KernelSpec.linear() if linear else KernelSpec.rbf(width)
     K = gram(spec, X).values
     if family == "csvm_boxes":
         z = 2.0 * labels - 1.0
@@ -340,13 +356,14 @@ def test_engine_matches_oracle_on_degenerate_instances(family, data):
     assert ours == pytest.approx(ref, abs=1e-6)
 
 
-def large_gamma_tube_cell(seed=10007, fold=0):
-    """One fold of a 5-fold CV cell on gauss2d n=200: rbf delta=0.25,
-    default weights; fitted at gamma=256 and eps=2^-4."""
+def large_gamma_tube_cell(seed=10007, fold=0, spec=KernelSpec.rbf(0.25)):
+    """One fold of a 5-fold CV cell on gauss2d n=200: rbf delta=0.25 unless
+    ``spec`` says otherwise, default weights; fitted at gamma=256 and
+    eps=2^-4. The pair loop runs out its budget on it, on either kernel."""
     data = gen_gaussian_2d(GaussianSpec2D(n=200, seed=seed))
     train_idx, _ = kfold_split(200, 5, seed, labels=data.labels)[fold]
     train = subset(data, train_idx)
-    K = gram(KernelSpec.rbf(0.25), train.features)
+    K = gram(spec, train.features)
     weights = WeightConfig().weights_for(train.features, data.features, 0.5)
     return train, K, weights
 
@@ -732,41 +749,48 @@ def test_switch_budget_leaves_the_held_out_labels_of_large_gamma_tube_cell(monke
 @pytest.mark.parametrize("at", [1, 4])
 def test_singular_newton_system_keeps_the_best_iterate(monkeypatch, at):
     # np.linalg.solve raises LinAlgError on the at-th predictor solve (two
-    # right-hand sides) or the at-th corrector solve (one)
-    train, K, weights = large_gamma_tube_cell()
-    *_, lo, hi = args = tube_cell_args(train, K, weights)
-    full, full_iterations = interior_point(*args)
-    solve = np.linalg.solve
+    # right-hand sides) or the at-th corrector solve (one): of the m x m
+    # system on the rbf kernel, of the d x d one through the linear
+    # kernel's factor
+    for spec in (KernelSpec.rbf(0.25), KernelSpec.linear()):
+        monkeypatch.undo()
+        train, K, weights = large_gamma_tube_cell(spec=spec)
+        *_, lo, hi = args = tube_cell_args(train, K, weights)
+        factor = K._factor
+        size = train.m if factor is None else train.d
+        full, full_iterations = interior_point(*args, factor)
+        solve = np.linalg.solve
 
-    def failing_on(site):
-        calls = {1: 0, 2: 0}
+        def failing_on(site):
+            calls = {1: 0, 2: 0}
 
-        def failing(M, b):
-            calls[b.ndim] += 1
-            if b.ndim == site and calls[b.ndim] == at:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(M, b)
-        return failing
+            def failing(M, b):
+                assert M.shape == (size, size)
+                calls[b.ndim] += 1
+                if b.ndim == site and calls[b.ndim] == at:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(M, b)
+            return failing
 
-    kept = []
-    for site in (2, 1):  # the predictor's solve, then the corrector's
-        monkeypatch.setattr(np.linalg, "solve", failing_on(site))
-        beta, iterations = interior_point(*args)
-        assert iterations == at < full_iterations
-        kept.append(beta)
-        start = snap(beta, lo, hi)
-        assert np.all(start >= lo) and np.all(start <= hi)
-        assert abs(float(start.sum())) < 1e-12 * max(1.0, float(np.abs(start).max()))
-        monkeypatch.setattr(np.linalg, "solve", failing_on(site))
-        res = _solve_pairwise(*args)
-        assert res.converged and res.interior_iterations == at
-        assert res.iterations > _switch_budget(train.m)
-    # both sites keep the iterate the failed step started from: the start
-    # point (beta = 0 in these symmetric boxes) when the first step fails
-    assert np.array_equal(kept[0], kept[1])
-    assert not np.array_equal(kept[0], full)
-    if at == 1:
-        assert not kept[0].any()
+        kept = []
+        for site in (2, 1):  # the predictor's solve, then the corrector's
+            monkeypatch.setattr(np.linalg, "solve", failing_on(site))
+            beta, iterations = interior_point(*args, factor)
+            assert iterations == at < full_iterations
+            kept.append(beta)
+            start = snap(beta, lo, hi)
+            assert np.all(start >= lo) and np.all(start <= hi)
+            assert abs(float(start.sum())) < 1e-12 * max(1.0, float(np.abs(start).max()))
+            monkeypatch.setattr(np.linalg, "solve", failing_on(site))
+            res = _solve_pairwise(*args, factor=factor)
+            assert res.converged and res.interior_iterations == at
+            assert res.iterations > _switch_budget(train.m)
+        # both sites keep the iterate the failed step started from: the start
+        # point (beta = 0 in these symmetric boxes) when the first step fails
+        assert np.array_equal(kept[0], kept[1])
+        assert not np.array_equal(kept[0], full)
+        if at == 1:
+            assert not kept[0].any()
 
 
 @pytest.mark.parametrize("family", DEGENERATE)
@@ -802,6 +826,34 @@ def test_switched_path_matches_oracle_on_degenerate_instances(family, data):
     assert duality_gap(res.beta, res.bias, *args) >= -1e-9
     ref, _, _ = qp_reference(K, target, eps[0], hi, caps_neg=-lo)
     assert dual_objective(res.beta, target, eps[0], K) == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("family", DEGENERATE)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_factor_path_keeps_the_engine_invariants_on_degenerate_linear_instances(
+        family, data):
+    # the interior point solved through K = XX''s factor, on fits told to
+    # start there and on fits switched after a one-step budget: feasible and
+    # zero-sum, a status that matches the violation and that converges
+    # wherever the m x m path does, and the oracle's optimum
+    args, X = data.draw(linear_engine_instances(family))
+    K, target, eps, lo, hi = args
+    ref, _, _ = qp_reference(K, target, eps[0], hi, caps_neg=-lo)
+    for kw, first in itertools.product(({}, TIGHT), (True, False)):
+        with mock.patch.object(solvers, "_switch_budget", lambda m: 1):
+            res, square = (_solve_pairwise(*args, interior_first=first, factor=factor, **kw)
+                           for factor in (X, None))
+        assert res.interior_iterations > 0 or not first
+        assert res.converged == (res.status == "converged")
+        assert res.converged == (res.violation < kw.get("tolerance", 1e-4))
+        assert res.converged or not square.converged
+        beta = res.beta
+        assert np.all(beta >= lo - 1e-9) and np.all(beta <= hi + 1e-9)
+        assert abs(float(beta.sum())) < 1e-8 * max(1.0, float(np.abs(beta).max()))
+        assert duality_gap(beta, res.bias, *args) >= -1e-9
+        if kw:
+            assert dual_objective(beta, target, eps[0], K) == pytest.approx(ref, abs=1e-6)
 
 
 def test_pair_argmax_matches_reference_on_edge_cases():
@@ -1341,6 +1393,108 @@ def test_closed_form_guard_sweep(method):
     assert not missed, f"fits above cond 1e11: {missed}"
     assert not rejected, f"fits below cond 1e6 rejected: {rejected}"
     assert singular >= 20 and fitted >= 20, (singular, fitted)
+
+
+@pytest.mark.parametrize("method, mu", [
+    ("lssvm", None), ("idlssvm", None), ("vsvm", "empirical"), ("vsvm", "unit_box"),
+    ("vsvm", "gaussian"), ("vsvm", "point_mass")])
+def test_linear_closed_form_through_the_factor_matches_an_explicit_solve(method, mu):
+    # a linear fit with few features solves through the training features;
+    # an explicit m x m solve of the same M gives A and c within 1e-9 relative
+    rng = np.random.default_rng(8100 + len(method) + (len(mu) if mu else 0))
+    for _ in range(10):
+        m, d = int(rng.integers(24, 61)), int(rng.integers(1, 6))
+        y = rng.permutation(np.arange(m) % 2).astype(float)
+        data = make_dataset(rng.random((m, d)), y)
+        K = gram(KernelSpec.linear(), data.features)
+        assert solvers._low_rank_factor(K, 1, v_product=method == "vsvm") is not None
+        gamma = float(2.0 ** rng.uniform(-3, 5))
+        W = np.eye(m)
+        if method == "vsvm":
+            measure = dict(empirical=MeasureSpec.empirical(rng.random((2 * m, d))),
+                           unit_box=MeasureSpec.unit_box(d),
+                           gaussian=MeasureSpec.gaussian(np.full(d, 0.5), np.full(d, 0.3)),
+                           point_mass=MeasureSpec.point_mass())[mu]
+            g = GKernelSpec.gaussian(0.5) if rng.random() < 0.5 else GKernelSpec.step()
+            V = v_matrix(data.features, g, measure)
+            model, W = fit_vsvm(data, K, V, gamma), V.values
+            M = W @ K.values + gamma * np.eye(m)
+        elif method == "lssvm":
+            model = fit_lssvm(data, K, gamma)
+            M = K.values + np.eye(m) / gamma
+        else:
+            model = fit_idlssvm(data, K, gamma, k=2)
+            M = K.values + np.diag(1.0 / (gamma * _density_weights(data.features, y, 2)))
+        A_y, A_1 = np.linalg.solve(M, W @ np.column_stack([y, np.ones(m)])).T
+        c = A_y.sum() / A_1.sum()
+        A = A_y - c * A_1
+        assert np.abs(model.coefficients - A).max() <= 1e-9 * np.abs(A).max()
+        assert abs(model.intercept - c) <= 1e-9 * abs(c)
+
+
+def test_linear_fits_solve_through_the_factor_where_it_takes_fewer_flops(monkeypatch):
+    # the shapes np.linalg.solve receives, fit by fit (lssvm, idlssvm, vsvm and
+    # a dual fit that switches): d x d through a linear Gram's factor where
+    # that takes fewer flops than the m x m solves, m x m everywhere else
+    shapes = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    def fits(data, K, weights, cfg, k):
+        V = v_matrix(data.features, GKernelSpec.gaussian(0.5), MeasureSpec.unit_box(data.d))
+        return [lambda: fit_lssvm(data, K, 4.0), lambda: fit_idlssvm(data, K, 4.0, k=k),
+                lambda: fit_vsvm(data, K, V, 4.0),
+                lambda: fit_eps_l1_vsvm(data, K, weights, cfg)]
+
+    def assert_shapes(data, K, weights, cfg, k, sizes):
+        for fit, size in zip(fits(data, K, weights, cfg, k), sizes):
+            shapes.clear()
+            model = fit()
+            assert model.caps is None or model.interior_iterations > 0
+            assert set(shapes) == {(size, size)}
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    cfg = SolverConfig(gamma=256.0, epsilon=2.0**-4)
+    # m = 160, d = 2: every fit through the factor on the linear kernel; the
+    # rbf kernel, and the same linear values in a hand-built GramMatrix, m x m
+    for spec in (KernelSpec.linear(), KernelSpec.rbf(0.25)):
+        train, K, weights = large_gamma_tube_cell(spec=spec)
+        size = train.m if spec.kind == "rbf" else train.d
+        assert_shapes(train, K, weights, cfg, 5, [size] * 4)
+    assert_shapes(train, GramMatrix(gram(KernelSpec.linear(), train.features).values,
+                                    KernelSpec.linear()), weights, cfg, 5, [train.m] * 4)
+    # dual fits told to start on the interior point; d = 5 is 0.42 m at
+    # m = 12, past vsvm's bound of 0.26 m but inside the others', and d >= m
+    # at m = 4
+    first = replace(cfg, interior_first=True)
+    for m, sizes in ((12, [5, 5, 12, 5]), (4, [4, 4, 4, 4])):
+        data = make_dataset(np.random.default_rng(9).random((m, 5)), np.arange(m) % 2)
+        K = gram(KernelSpec.linear(), data.features)
+        assert_shapes(data, K, make_weights(np.ones(m)), first, 1, sizes)
+
+
+def test_a_hand_built_linear_gram_is_solved_as_given():
+    # a GramMatrix built by hand has no factor, so fits use its values even
+    # where they are not XX' of the training features
+    rng = np.random.default_rng(31)
+    data = make_dataset(rng.random((40, 2)), np.arange(40) % 2)
+    other = rng.random((40, 2))
+    K = GramMatrix(other @ other.T, KernelSpec.linear())
+    assert K._factor is None
+    M = K.values + np.eye(40) / 4.0
+    A_y, A_1 = np.linalg.solve(M, np.column_stack([data.labels, np.ones(40)])).T
+    c = A_y.sum() / A_1.sum()
+    model = fit_lssvm(data, K, 4.0)
+    assert np.abs(model.coefficients - (A_y - c * A_1)).max() <= 1e-9 * np.abs(A_y - c * A_1).max()
+    cfg = SolverConfig(gamma=256.0, epsilon=2.0**-4, interior_first=True)
+    res = _solve_pairwise(K.values, data.labels.astype(float), np.full(40, 2.0**-4),
+                          np.full(40, -256.0), np.full(40, 256.0), interior_first=True)
+    model = fit_eps_l1_svm(data, K, cfg)
+    assert model.interior_iterations == res.interior_iterations > 0
+    assert np.array_equal(model.coefficients, res.beta)
 
 
 # ---------------------------------------------------------------------------
